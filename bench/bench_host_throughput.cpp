@@ -7,7 +7,7 @@
  *     representative points, best-of-N, compared against the committed
  *     pre-optimisation baseline in
  *     bench_results/BASELINE_host_throughput.json. The hot-path work
- *     (ROB ring + status mirror, seq scoreboard, scan guards, cached
+ *     (ROB ring, seq scoreboard, wakeup/select scheduling, cached
  *     stat counters, allocation-free predictor path) must hold a
  *     >= 2x geomean speedup over that baseline.
  *

@@ -1,8 +1,10 @@
 #include "core/backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "warp/state_io.hpp"
 
@@ -12,9 +14,8 @@ using prog::OpClass;
 
 namespace {
 
-/** Sentinels for the scheduler scan accelerators. */
+/** nextDoneCycle_ while nothing is issued. */
 constexpr Cycle kNeverDone = std::numeric_limits<Cycle>::max();
-constexpr std::uint64_t kNoRobId = std::numeric_limits<std::uint64_t>::max();
 
 } // namespace
 
@@ -37,8 +38,14 @@ Backend::Backend(exec::Oracle& oracle, bpu::BranchPredictorUnit& bpu,
     while (robCap < static_cast<std::size_t>(cfg_.robEntries))
         robCap <<= 1;
     robBuf_.resize(robCap);
-    robStatus_.assign(robCap, 0);
     robMask_ = robCap - 1;
+
+    robWords_ = (robCap + 63) / 64;
+    readyBits_.assign(robWords_, 0);
+    issuedBits_.assign(robWords_, 0);
+    squashed_.assign(robWords_, 0);
+    consumers_.assign(robCap * robWords_, 0);
+    pending_.assign(robCap, 0);
 }
 
 Backend::RobHeadView
@@ -98,41 +105,116 @@ Backend::execLatency(const exec::DynInst& di)
     }
 }
 
-bool
-Backend::depsReady(const RobEntry& e) const
+template <typename F>
+void
+Backend::forEachOldestFirst(const std::vector<Word>& bits, F&& visit)
 {
-    const auto ready = [&](SeqNum dep) {
-        return dep == kInvalidSeq || seqReady(dep);
-    };
-    if (!ready(e.fi.di.dep1) || !ready(e.fi.di.dep2))
-        return false;
-    if (e.sfbShadow) {
-        // Predicated shadow reads the SFB guard's predicate bit.
-        auto it = sfbGuardDone_.find(e.sfbGuard);
-        if (it != sfbGuardDone_.end() && !it->second)
-            return false;
+    // Walk the head's word from the head bit up, the other words in
+    // ring order, then the head's word again below the head bit.
+    const std::size_t headWord = robHeadIdx_ >> 6;
+    const Word belowHead = (Word{1} << (robHeadIdx_ & 63)) - 1;
+    for (std::size_t k = 0; k <= robWords_; ++k) {
+        const std::size_t wi = (headWord + k) & (robWords_ - 1);
+        Word w = bits[wi];
+        if (k == 0)
+            w &= ~belowHead;
+        else if (k == robWords_)
+            w &= belowHead;
+        while (w != 0) {
+            const std::size_t slot =
+                (wi << 6) + static_cast<unsigned>(std::countr_zero(w));
+            w &= w - 1;
+            if (!visit(slot))
+                return;
+        }
     }
-    return true;
+}
+
+void
+Backend::waitOn(std::size_t slot, std::size_t producer)
+{
+    Word& w = consumersOf(producer)[slot >> 6];
+    const Word bit = Word{1} << (slot & 63);
+    if ((w & bit) != 0)
+        return; // Same producer twice (dep1 == dep2): count it once.
+    w |= bit;
+    ++pending_[slot];
+}
+
+std::ptrdiff_t
+Backend::inFlightGuardSlot(std::uint64_t dyn_id) const
+{
+    for (std::size_t i = robCount_; i-- > 0;) {
+        const RobEntry& g = robAt(i);
+        if (g.sfbConverted && g.fi.dynId == dyn_id) {
+            return g.st == RobEntry::St::Done
+                       ? -1
+                       : static_cast<std::ptrdiff_t>(slotOf(i));
+        }
+    }
+    return -1; // Committed: its predicate is architectural.
+}
+
+void
+Backend::registerWaiting(std::size_t slot)
+{
+    const RobEntry& e = robBuf_[slot];
+    pending_[slot] = 0;
+    for (SeqNum dep : {e.fi.di.dep1, e.fi.di.dep2}) {
+        if (dep == kInvalidSeq)
+            continue;
+        const SeqSlot& s = seqTable_[dep & seqMask_];
+        if (s.seq == dep && s.done == 0)
+            waitOn(slot, s.robSlot);
+    }
+    if (e.sfbShadow) {
+        // A predicated shadow reads its SFB guard's predicate bit.
+        const std::ptrdiff_t g = inFlightGuardSlot(e.sfbGuard);
+        if (g >= 0)
+            waitOn(slot, static_cast<std::size_t>(g));
+    }
+    if (pending_[slot] == 0)
+        setBit(readyBits_.data(), slot);
 }
 
 void
 Backend::squashYoungerThan(std::size_t idx)
 {
+    bool orphans = false;
     while (robCount_ > idx + 1) {
-        RobEntry& e = robAt(robCount_ - 1);
-        if (e.st == RobEntry::St::Waiting)
+        const std::size_t slot = slotOf(robCount_ - 1);
+        RobEntry& e = robBuf_[slot];
+        if (e.st == RobEntry::St::Waiting) {
             --iqCount_[static_cast<unsigned>(e.iq)];
-        else if (e.st == RobEntry::St::Issued)
+            if (pending_[slot] != 0) {
+                setBit(squashed_.data(), slot);
+                orphans = true;
+            }
+        } else if (e.st == RobEntry::St::Issued) {
             --issuedCount_;
+        }
+        clearBit(readyBits_.data(), slot);
+        clearBit(issuedBits_.data(), slot);
         if (e.fi.di.si->op == OpClass::Load && ldqCount_ > 0)
             --ldqCount_;
         if (e.fi.di.si->op == OpClass::Store && stqCount_ > 0)
             --stqCount_;
         if (e.fi.di.seq != kInvalidSeq)
             seqErase(e.fi.di.seq);
-        if (e.sfbConverted)
-            sfbGuardDone_.erase(e.fi.dynId);
-        robPopBack();
+        --robCount_;
+    }
+    if (orphans) {
+        // Squashed consumers leave the rows of surviving producers
+        // before their slots are reused. Done producers' rows are
+        // already empty (emptied when they woke their consumers).
+        for (std::size_t i = 0; i < robCount_; ++i) {
+            if (robAt(i).st == RobEntry::St::Done)
+                continue;
+            Word* row = consumersOf(slotOf(i));
+            for (std::size_t w = 0; w < robWords_; ++w)
+                row[w] &= ~squashed_[w];
+        }
+        std::fill(squashed_.begin(), squashed_.end(), 0);
     }
     // Any in-dispatch SFB region referred to killed instructions.
     sfbActive_ = false;
@@ -168,7 +250,6 @@ Backend::resolveCf(std::size_t idx, Cycle now)
         res.mispredicted = false;
         res.sfbConverted = true;
         bpu_.resolve(res);
-        sfbGuardDone_[e.fi.dynId] = true;
         e.wasMispredict = false;
         return false;
     }
@@ -239,89 +320,72 @@ void
 Backend::completeAndResolve(Cycle now)
 {
     // Nothing in flight can finish before nextDoneCycle_ (a lower
-    // bound, exact after an uninterrupted scan) — skip the ROB walk.
+    // bound, exact after an uninterrupted walk) — skip the walk.
     if (issuedCount_ == 0 || now < nextDoneCycle_)
         return;
     Cycle nextDone = kNeverDone;
-    for (std::size_t i = 0; i < robCount_; ++i) {
-        if (statusAt(i) !=
-            static_cast<std::uint8_t>(RobEntry::St::Issued))
-            continue;
-        RobEntry& e = robAt(i);
+    forEachOldestFirst(issuedBits_, [&](std::size_t slot) {
+        RobEntry& e = robBuf_[slot];
         if (e.doneCycle > now) {
-            if (e.doneCycle < nextDone)
-                nextDone = e.doneCycle;
-            continue;
+            nextDone = std::min(nextDone, e.doneCycle);
+            return true;
         }
         e.st = RobEntry::St::Done;
-        statusAt(i) = static_cast<std::uint8_t>(RobEntry::St::Done);
+        clearBit(issuedBits_.data(), slot);
         --issuedCount_;
         if (e.fi.di.seq != kInvalidSeq)
-            seqInsert(e.fi.di.seq, 1);
-        if (prog::isControlFlow(e.fi.di.si->op)) {
-            if (resolveCf(i, now))
-                break; // Everything younger is gone (already scanned).
+            seqTable_[e.fi.di.seq & seqMask_].done = 1;
+
+        // Wake: every consumer waiting on this slot loses a producer.
+        Word* row = consumersOf(slot);
+        for (std::size_t w = 0; w < robWords_; ++w) {
+            for (Word bits = row[w]; bits != 0; bits &= bits - 1) {
+                const std::size_t c =
+                    (w << 6) +
+                    static_cast<unsigned>(std::countr_zero(bits));
+                if (--pending_[c] == 0)
+                    setBit(readyBits_.data(), c);
+            }
+            row[w] = 0;
         }
-    }
+
+        if (prog::isControlFlow(e.fi.di.si->op) &&
+            resolveCf((slot - robHeadIdx_) & robMask_, now))
+            return false; // Everything younger is gone (already walked).
+        return true;
+    });
     nextDoneCycle_ = nextDone;
 }
 
 void
 Backend::issue(Cycle now)
 {
-    if (iqCount_[0] + iqCount_[1] + iqCount_[2] == 0)
-        return;
+    // Select oldest first across all three queue classes: loads and
+    // stores touch the caches in execLatency, so issue order is
+    // visible in LRU state.
     unsigned ports[3] = {cfg_.aluPorts, cfg_.memPorts, cfg_.fpPorts};
-    // Everything older than firstWaitingId_ has left Waiting for good
-    // (squashes only remove from the back), so resume the scan there.
-    // robIds are strictly increasing but NOT dense (squash gaps), so
-    // locate the resume point by binary search, not subtraction.
-    std::size_t i = 0;
-    {
-        std::size_t hi = robCount_;
-        while (i < hi) {
-            const std::size_t mid = i + (hi - i) / 2;
-            if (robAt(mid).robId < firstWaitingId_)
-                i = mid + 1;
-            else
-                hi = mid;
-        }
-    }
-    std::uint64_t newFirst = kNoRobId;
     unsigned portsLeft = ports[0] + ports[1] + ports[2];
-    for (; i < robCount_; ++i) {
-        if (portsLeft == 0) {
-            if (newFirst == kNoRobId)
-                newFirst = robAt(i).robId; // Unscanned tail may wait.
-            break;
-        }
-        if (statusAt(i) !=
-            static_cast<std::uint8_t>(RobEntry::St::Waiting))
-            continue;
-        RobEntry& e = robAt(i);
-        if (now < e.earliestIssue || !depsReady(e)) {
-            if (newFirst == kNoRobId)
-                newFirst = e.robId;
-            continue;
-        }
+    if (portsLeft == 0)
+        return;
+    forEachOldestFirst(readyBits_, [&](std::size_t slot) {
+        RobEntry& e = robBuf_[slot];
+        if (now < e.earliestIssue)
+            return true;
         unsigned& port = ports[static_cast<unsigned>(e.iq)];
-        if (port == 0) {
-            if (newFirst == kNoRobId)
-                newFirst = e.robId;
-            continue;
-        }
+        if (port == 0)
+            return true;
         --port;
-        --portsLeft;
         e.st = RobEntry::St::Issued;
-        statusAt(i) = static_cast<std::uint8_t>(RobEntry::St::Issued);
+        clearBit(readyBits_.data(), slot);
+        setBit(issuedBits_.data(), slot);
         e.doneCycle = now + execLatency(e.fi.di);
         ++issuedCount_;
         if (e.doneCycle < nextDoneCycle_)
             nextDoneCycle_ = e.doneCycle;
         --iqCount_[static_cast<unsigned>(e.iq)];
         ++issued_;
-    }
-    firstWaitingId_ = newFirst == kNoRobId ? robIdNext_ : newFirst;
+        return --portsLeft != 0;
+    });
 }
 
 void
@@ -368,8 +432,6 @@ Backend::commit(Cycle now)
             if (!e.fi.di.wrongPath)
                 oracle_.retireUpTo(e.fi.di.seq);
         }
-        if (e.sfbConverted)
-            sfbGuardDone_.erase(e.fi.dynId);
         robPopFront();
         ++n;
     }
@@ -410,11 +472,12 @@ Backend::dispatch(Cycle now)
             break;
         }
 
-        RobEntry e;
+        const std::size_t slot = slotOf(robCount_);
+        RobEntry& e = robBuf_[slot];
+        e = RobEntry{};
         e.fi = fi;
         e.iq = iq;
         e.earliestIssue = now + cfg_.decodeDelay;
-        e.robId = robIdNext_++;
         frontend_.popFront();
 
         // ---- SFB decode pass (paper §VI-C) ---------------------------
@@ -437,18 +500,21 @@ Backend::dispatch(Cycle now)
             sfbActive_ = true;
             sfbActiveGuard_ = e.fi.dynId;
             sfbActiveTarget_ = e.fi.di.si->target;
-            sfbGuardDone_[e.fi.dynId] = false;
             ++sfbConversions_;
         }
 
+        // Wait on in-flight producers before publishing this entry's
+        // own seq; its own consumer row starts empty.
+        std::fill_n(consumersOf(slot), robWords_, Word{0});
+        registerWaiting(slot);
         if (e.fi.di.seq != kInvalidSeq)
-            seqInsert(e.fi.di.seq, 0);
+            seqInsert(e.fi.di.seq, slot);
         if (op == OpClass::Load)
             ++ldqCount_;
         if (op == OpClass::Store)
             ++stqCount_;
         ++iqCount_[static_cast<unsigned>(iq)];
-        robPushBack(std::move(e));
+        ++robCount_;
         ++n;
     }
     dispatched_ += n;
@@ -478,7 +544,6 @@ Backend::saveState(warp::StateWriter& w) const
         w.boolean(e.sfbConverted);
         w.boolean(e.sfbShadow);
         w.u64(e.sfbGuard);
-        w.u64(e.robId);
     }
 
     std::uint64_t liveSeqs = 0;
@@ -493,27 +558,6 @@ Backend::saveState(warp::StateWriter& w) const
         w.u8(s.done);
     }
 
-    // Sort the guard map's keys so identical states produce identical
-    // bytes regardless of hash-table iteration order.
-    std::vector<std::uint64_t> guards;
-    guards.reserve(sfbGuardDone_.size());
-    for (const auto& kv : sfbGuardDone_)
-        guards.push_back(kv.first);
-    std::sort(guards.begin(), guards.end());
-    w.u64(guards.size());
-    for (std::uint64_t g : guards) {
-        w.u64(g);
-        w.boolean(sfbGuardDone_.at(g));
-    }
-
-    w.u32(issuedCount_);
-    w.u64(nextDoneCycle_);
-    w.u64(robIdNext_);
-    w.u64(firstWaitingId_);
-    for (unsigned c : iqCount_)
-        w.u32(c);
-    w.u32(ldqCount_);
-    w.u32(stqCount_);
     w.boolean(sfbActive_);
     w.u64(sfbActiveGuard_);
     w.u64(sfbActiveTarget_);
@@ -531,14 +575,11 @@ void
 Backend::restoreState(warp::StateReader& r)
 {
     const std::uint64_t nRob = r.u64();
-    if (nRob > robBuf_.size())
+    if (nRob > cfg_.robEntries)
         r.fail("ROB occupancy exceeds this configuration");
     robHeadIdx_ = 0;
     robCount_ = static_cast<std::size_t>(nRob);
-    for (std::size_t i = 0; i < robBuf_.size(); ++i) {
-        robBuf_[i] = RobEntry{};
-        robStatus_[i] = static_cast<std::uint8_t>(RobEntry::St::Waiting);
-    }
+    std::fill(robBuf_.begin(), robBuf_.end(), RobEntry{});
     for (std::size_t i = 0; i < robCount_; ++i) {
         RobEntry& e = robBuf_[i];
         loadFetchedInst(r, e.fi, oracle_.program());
@@ -556,38 +597,34 @@ Backend::restoreState(warp::StateReader& r)
         e.sfbConverted = r.boolean();
         e.sfbShadow = r.boolean();
         e.sfbGuard = r.u64();
-        e.robId = r.u64();
-        robStatus_[i] = st;
     }
 
-    for (SeqSlot& s : seqTable_)
-        s = SeqSlot{};
+    // The scoreboard is rebuilt from the ROB; the saved copy is only
+    // checked against it. A live, unfinished seq with no ROB entry
+    // would leave its consumers waiting forever.
+    std::fill(seqTable_.begin(), seqTable_.end(), SeqSlot{});
+    for (std::size_t i = 0; i < robCount_; ++i) {
+        const RobEntry& e = robBuf_[i];
+        if (e.fi.di.seq == kInvalidSeq)
+            continue;
+        SeqSlot& s = seqTable_[e.fi.di.seq & seqMask_];
+        if (s.seq != kInvalidSeq)
+            r.fail("two ROB entries share a scoreboard slot");
+        s.seq = e.fi.di.seq;
+        s.robSlot = static_cast<std::uint32_t>(i);
+        s.done = e.st == RobEntry::St::Done ? 1 : 0;
+    }
     const std::uint64_t liveSeqs = r.u64();
     if (liveSeqs > seqTable_.size())
         r.fail("seq scoreboard occupancy exceeds its capacity");
     for (std::uint64_t i = 0; i < liveSeqs; ++i) {
         const SeqNum seq = r.u64();
         const std::uint8_t done = r.u8();
-        seqTable_[seq & seqMask_] = SeqSlot{seq, done};
+        if (done == 0 && seqTable_[seq & seqMask_].seq != seq)
+            r.fail("scoreboard seq " + std::to_string(seq) +
+                   " is in flight but has no ROB entry");
     }
 
-    sfbGuardDone_.clear();
-    const std::uint64_t nGuards = r.u64();
-    if (nGuards > (std::uint64_t{1} << 20))
-        r.fail("SFB guard map implausibly large");
-    for (std::uint64_t i = 0; i < nGuards; ++i) {
-        const std::uint64_t g = r.u64();
-        sfbGuardDone_[g] = r.boolean();
-    }
-
-    issuedCount_ = r.u32();
-    nextDoneCycle_ = r.u64();
-    robIdNext_ = r.u64();
-    firstWaitingId_ = r.u64();
-    for (unsigned& c : iqCount_)
-        c = r.u32();
-    ldqCount_ = r.u32();
-    stqCount_ = r.u32();
     sfbActive_ = r.boolean();
     sfbActiveGuard_ = r.u64();
     sfbActiveTarget_ = r.u64();
@@ -599,6 +636,45 @@ Backend::restoreState(warp::StateReader& r)
     condMispredicts_ = r.u64();
     jalrMispredicts_ = r.u64();
     sfbConversions_ = r.u64();
+
+    rebuildFromRob();
+}
+
+void
+Backend::rebuildFromRob()
+{
+    issuedCount_ = 0;
+    nextDoneCycle_ = kNeverDone;
+    std::fill(std::begin(iqCount_), std::end(iqCount_), 0u);
+    ldqCount_ = 0;
+    stqCount_ = 0;
+    std::fill(readyBits_.begin(), readyBits_.end(), 0);
+    std::fill(issuedBits_.begin(), issuedBits_.end(), 0);
+    std::fill(consumers_.begin(), consumers_.end(), 0);
+    std::fill(pending_.begin(), pending_.end(), 0);
+
+    for (std::size_t i = 0; i < robCount_; ++i) {
+        const std::size_t slot = slotOf(i);
+        const RobEntry& e = robBuf_[slot];
+        const OpClass op = e.fi.di.si->op;
+        if (op == OpClass::Load)
+            ++ldqCount_;
+        if (op == OpClass::Store)
+            ++stqCount_;
+        switch (e.st) {
+          case RobEntry::St::Waiting:
+            ++iqCount_[static_cast<unsigned>(e.iq)];
+            registerWaiting(slot);
+            break;
+          case RobEntry::St::Issued:
+            ++issuedCount_;
+            setBit(issuedBits_.data(), slot);
+            nextDoneCycle_ = std::min(nextDoneCycle_, e.doneCycle);
+            break;
+          case RobEntry::St::Done:
+            break;
+        }
+    }
 }
 
 } // namespace cobra::core

@@ -1,7 +1,7 @@
 /**
  * @file
  * The out-of-order backend: decode/dispatch (with the short-forwards-
- * branch predication pass of paper §VI-C), a ROB-based dataflow
+ * branch predication pass of paper §VI-C), a wakeup/select dataflow
  * scheduler with issue-port and queue-capacity limits per Table II,
  * out-of-order branch resolution with squash/redirect, and in-order
  * commit driving the predictor's commit-time updates.
@@ -11,8 +11,7 @@
 #define COBRA_CORE_BACKEND_HPP
 
 #include <cassert>
-#include <deque>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "bpu/bpu.hpp"
@@ -100,10 +99,13 @@ class Backend
     const BackendConfig& config() const { return cfg_; }
 
     /**
-     * Checkpoint the full execution-engine state: the ROB ring (every
-     * in-flight instruction with its scheduling state), the seq
-     * scoreboard, SFB predication state, and the commit counters.
-     * Registered stat handles ride the stat registry.
+     * Checkpoint the execution-engine state: the ROB (every in-flight
+     * instruction with its scheduling state), the seq scoreboard, SFB
+     * predication state, and the commit counters. Registered stat
+     * handles ride the stat registry. Everything derivable from the
+     * ROB (wakeup bitmaps, queue occupancies, the completion bound) is
+     * not saved; restoreState rebuilds it and rejects a scoreboard
+     * that disagrees with the ROB.
      */
     void saveState(warp::StateWriter& w) const;
     void restoreState(warp::StateReader& r);
@@ -123,30 +125,29 @@ class Backend
         bool sfbConverted = false; ///< Branch turned into set-flag.
         bool sfbShadow = false;    ///< Predicated shadow instruction.
         std::uint64_t sfbGuard = 0; ///< dynId of the guarding branch.
-        /** Monotone dispatch id (stable across deque front pops). */
-        std::uint64_t robId = 0;
     };
 
     /**
-     * Direct-mapped scoreboard of in-flight oracle seq numbers,
-     * replacing an unordered_map on the issue critical path. Live
-     * seqs span at most robEntries consecutive values, so a
-     * power-of-two table of >= 2x that can never alias two live
-     * entries.
+     * Direct-mapped scoreboard of in-flight oracle seq numbers with
+     * the ROB slot holding each. Live seqs span at most robEntries
+     * consecutive values, so a power-of-two table of >= 2x that can
+     * never alias two live entries.
      */
     struct SeqSlot
     {
         SeqNum seq = kInvalidSeq;
+        std::uint32_t robSlot = 0;
         std::uint8_t done = 0;
     };
 
     void
-    seqInsert(SeqNum seq, std::uint8_t done)
+    seqInsert(SeqNum seq, std::size_t rob_slot)
     {
         SeqSlot& s = seqTable_[seq & seqMask_];
-        assert(s.seq == kInvalidSeq || s.seq == seq);
+        assert(s.seq == kInvalidSeq);
         s.seq = seq;
-        s.done = done;
+        s.robSlot = static_cast<std::uint32_t>(rob_slot);
+        s.done = 0;
     }
 
     void
@@ -155,14 +156,6 @@ class Backend
         SeqSlot& s = seqTable_[seq & seqMask_];
         if (s.seq == seq)
             s.seq = kInvalidSeq;
-    }
-
-    /** True when @p dep has left flight or produced its result. */
-    bool
-    seqReady(SeqNum dep) const
-    {
-        const SeqSlot& s = seqTable_[dep & seqMask_];
-        return s.seq != dep || s.done != 0;
     }
 
     void completeAndResolve(Cycle now);
@@ -179,9 +172,6 @@ class Backend
     /** Execution latency for an instruction issued at @p now. */
     Cycle execLatency(const exec::DynInst& di);
 
-    /** True when all register dependences have produced. */
-    bool depsReady(const RobEntry& e) const;
-
     static bpu::CfiType cfiTypeOf(prog::OpClass op);
 
     exec::Oracle& oracle_;
@@ -191,31 +181,17 @@ class Backend
     BackendConfig cfg_;
 
     // ---- ROB ring buffer ------------------------------------------------
-    // A power-of-two ring (not std::deque) so the per-cycle scans index
-    // with a mask instead of the deque's two-level lookup, plus a
-    // compact status mirror so they can reject non-candidate entries
-    // from one cache line before touching the fat RobEntry.
+    // A power-of-two ring (not std::deque): ring slots are stable for an
+    // entry's lifetime, so the scheduler bitmaps below index them.
 
-    RobEntry& robAt(std::size_t i)
+    std::size_t slotOf(std::size_t i) const
     {
-        return robBuf_[(robHeadIdx_ + i) & robMask_];
+        return (robHeadIdx_ + i) & robMask_;
     }
+    RobEntry& robAt(std::size_t i) { return robBuf_[slotOf(i)]; }
     const RobEntry& robAt(std::size_t i) const
     {
-        return robBuf_[(robHeadIdx_ + i) & robMask_];
-    }
-    std::uint8_t& statusAt(std::size_t i)
-    {
-        return robStatus_[(robHeadIdx_ + i) & robMask_];
-    }
-
-    void
-    robPushBack(RobEntry&& e)
-    {
-        const std::size_t slot = (robHeadIdx_ + robCount_) & robMask_;
-        robStatus_[slot] = static_cast<std::uint8_t>(e.st);
-        robBuf_[slot] = std::move(e);
-        ++robCount_;
+        return robBuf_[slotOf(i)];
     }
 
     void
@@ -225,10 +201,7 @@ class Backend
         --robCount_;
     }
 
-    void robPopBack() { --robCount_; }
-
     std::vector<RobEntry> robBuf_;
-    std::vector<std::uint8_t> robStatus_;
     std::size_t robHeadIdx_ = 0;
     std::size_t robCount_ = 0;
     std::size_t robMask_ = 0;
@@ -236,21 +209,63 @@ class Backend
     /** Oracle seq -> in-flight state (dependence tracking). */
     std::vector<SeqSlot> seqTable_;
     std::size_t seqMask_ = 0;
-    /** dynId -> done flag for SFB guards. */
-    std::unordered_map<std::uint64_t, bool> sfbGuardDone_;
 
-    // ---- Scheduler scan accelerators -----------------------------------
-    // All three are pure bookkeeping over state the scans recompute;
-    // they change which cycles scan, never what a scan decides.
+    // ---- Wakeup/select scheduler -----------------------------------------
+    // Bitmaps over ROB ring slots. A Waiting entry registers on each
+    // in-flight producer it reads (register producers via the seq
+    // scoreboard, plus its SFB guard) and counts them in pending_;
+    // the producer's completion wakes it into readyBits_. issue() and
+    // completeAndResolve() walk only set bits, oldest first. All of it
+    // is derived from the ROB: restoreState rebuilds it.
+
+    using Word = std::uint64_t;
+
+    static void setBit(Word* bits, std::size_t slot)
+    {
+        bits[slot >> 6] |= Word{1} << (slot & 63);
+    }
+    static void clearBit(Word* bits, std::size_t slot)
+    {
+        bits[slot >> 6] &= ~(Word{1} << (slot & 63));
+    }
+    Word* consumersOf(std::size_t slot)
+    {
+        return &consumers_[slot * robWords_];
+    }
+
+    /**
+     * Call @p visit(slot) for each set bit of @p bits in age order
+     * (ring order from the ROB head) until it returns false. Bits the
+     * visitor clears or sets in the word being walked are not seen.
+     */
+    template <typename F>
+    void forEachOldestFirst(const std::vector<Word>& bits, F&& visit);
+
+    /** Make the entry in @p slot wait for the producer in @p producer. */
+    void waitOn(std::size_t slot, std::size_t producer);
+
+    /** Register a freshly placed Waiting entry on its producers. */
+    void registerWaiting(std::size_t slot);
+
+    /** ROB slot of SFB guard @p dyn_id while it is in flight, or -1. */
+    std::ptrdiff_t inFlightGuardSlot(std::uint64_t dyn_id) const;
+
+    /** Rebuild every derived scheduling structure from the ROB. */
+    void rebuildFromRob();
+
+    std::size_t robWords_ = 0;
+    std::vector<Word> readyBits_;  ///< Waiting, every producer done.
+    std::vector<Word> issuedBits_; ///< St::Issued.
+    std::vector<Word> squashed_;   ///< Scratch for squashYoungerThan.
+    /** Row per producer slot: the slots waiting on it. */
+    std::vector<Word> consumers_;
+    /** Per slot: producers a Waiting entry still waits for. */
+    std::vector<std::uint8_t> pending_;
 
     /** Entries currently in St::Issued. */
     unsigned issuedCount_ = 0;
     /** Lower bound on the earliest doneCycle among issued entries. */
     Cycle nextDoneCycle_ = 0;
-    /** Next robId to assign at dispatch. */
-    std::uint64_t robIdNext_ = 0;
-    /** Lower bound on the robId of the oldest Waiting entry. */
-    std::uint64_t firstWaitingId_ = 0;
 
     unsigned iqCount_[3] = {0, 0, 0};
     unsigned ldqCount_ = 0;

@@ -591,6 +591,27 @@ TEST(ServeWarmCache, BitFlippedEntryIsEvictedAsAMiss)
     EXPECT_FALSE(fs::exists(key));
 }
 
+TEST(ServeWarmCache, Version1EntryIsEvictedAsAMiss)
+{
+    // Entries written before the snapshot layout moved to version 2
+    // are regenerated, never restored.
+    serve::WarmCache cache(scratchDir("cobra_warm_v1"));
+    warp::Snapshot snap;
+    snap.payload.assign(64, 7);
+    const std::string key = cache.keyPath("leela", 9, 2, 2);
+    cache.store(key, snap);
+
+    std::string bytes = serve::readFileText(key);
+    bytes[4] = 1; // header version, little-endian u32
+    bytes[5] = bytes[6] = bytes[7] = 0;
+    writeFile(key, bytes);
+
+    warp::Snapshot out;
+    EXPECT_FALSE(cache.lookup(key, out));
+    EXPECT_EQ(cache.stats().get("rejected"), 1u);
+    EXPECT_FALSE(fs::exists(key));
+}
+
 // ---------------------------------------------------------------------
 // Concurrent workload-cache use
 // ---------------------------------------------------------------------

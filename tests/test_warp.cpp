@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -308,6 +309,181 @@ TEST(Snapshot, FileRoundTripAndIoErrors)
                  guard::CheckpointError);
     std::filesystem::remove_all(dir);
 }
+
+TEST(Snapshot, Version1IsRejected)
+{
+    const prog::Program& p = cache().get("x264");
+    sim::Simulator s(p, sim::buildTopology(sim::Design::B2),
+                     smallCfg(sim::Design::B2));
+    ASSERT_TRUE(s.advanceTo(5000));
+    std::vector<std::uint8_t> bytes =
+        warp::encodeSnapshot(warp::captureSnapshot(s));
+
+    // Version 1 saved derived scheduler state this build rebuilds
+    // instead; its payload layout differs, so the header refuses it.
+    ASSERT_EQ(warp::Snapshot::kVersion, 2u);
+    bytes[4] = 1;
+    bytes[5] = bytes[6] = bytes[7] = 0;
+    EXPECT_THROW(warp::decodeSnapshot(bytes), guard::CheckpointError);
+}
+
+TEST(Snapshot, RestoreRejectsRobBeyondConfiguredEntries)
+{
+    // A 128-entry ROB state must not restore into a 100-entry core,
+    // even though both use a 128-slot ring.
+    const prog::Program& p = cache().get("gcc");
+    sim::SimConfig big = smallCfg(sim::Design::B2);
+    sim::Simulator s(p, sim::buildTopology(sim::Design::B2), big);
+    bool over = false;
+    for (Cycle c = 500; !over && s.advanceTo(c); c += 500)
+        over = s.backend().robSize() > 100;
+    ASSERT_TRUE(over) << "the ROB never held more than 100 entries";
+    warp::StateWriter w;
+    s.saveState(w);
+    const std::vector<std::uint8_t> payload = w.take();
+
+    sim::SimConfig small = big;
+    small.backend.robEntries = 100;
+    sim::Simulator t(p, sim::buildTopology(sim::Design::B2), small);
+    warp::StateReader r(payload);
+    EXPECT_THROW(t.restoreState(r), guard::CheckpointError);
+
+    // The same payload restores into the configuration that made it.
+    sim::Simulator u(p, sim::buildTopology(sim::Design::B2), big);
+    warp::StateReader ok(payload);
+    EXPECT_NO_THROW(u.restoreState(ok));
+}
+
+namespace {
+
+/** An empty-ROB backend state whose scoreboard holds @p seq. */
+std::vector<std::uint8_t>
+emptyRobState(SeqNum seq, bool done)
+{
+    warp::StateWriter w;
+    w.u64(0); // ROB occupancy
+    w.u64(1); // live scoreboard seqs
+    w.u64(seq);
+    w.u8(done ? 1 : 0);
+    w.boolean(false); // no active SFB region
+    w.u64(0);
+    w.u64(0);
+    w.u64(0); // last committed FTQ position
+    w.boolean(false);
+    for (int i = 0; i < 6; ++i)
+        w.u64(0); // commit counters
+    return w.take();
+}
+
+} // namespace
+
+TEST(Snapshot, RestoreRejectsInFlightSeqWithoutRobEntry)
+{
+    const prog::Program& p = cache().get("leela");
+    sim::Simulator s(p, sim::buildTopology(sim::Design::B2),
+                     smallCfg(sim::Design::B2));
+
+    // A finished seq without a ROB entry is harmless: nothing waits.
+    const std::vector<std::uint8_t> done = emptyRobState(77, true);
+    warp::StateReader rd(done);
+    EXPECT_NO_THROW(s.backend().restoreState(rd));
+
+    // An unfinished one would strand every consumer that reads it.
+    const std::vector<std::uint8_t> live = emptyRobState(77, false);
+    warp::StateReader rl(live);
+    EXPECT_THROW(s.backend().restoreState(rl), guard::CheckpointError);
+}
+
+// ---------------------------------------------------------------------
+// Mid-run restore stress
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct StressCase
+{
+    const char* name;
+    sim::Design design;
+    const char* workload;
+    bool sfb;
+};
+
+void
+PrintTo(const StressCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class RestoreStress : public ::testing::TestWithParam<StressCase>
+{
+};
+
+} // namespace
+
+/**
+ * Stop every 2000 cycles, capture, and continue on a fresh simulator
+ * restored from the capture, alternating between the generic and the
+ * specialized loop. At every stop the restored chain's state must be
+ * byte-identical to an uninterrupted reference paused at the same
+ * cycle, and the chain must finish with the uninterrupted result: so
+ * every restored run continues exactly as the original would have.
+ */
+TEST_P(RestoreStress, EveryStopResumesBitExactly)
+{
+    const StressCase& c = GetParam();
+    const prog::Program& p = cache().get(c.workload);
+    sim::SimConfig generic = smallCfg(c.design);
+    generic.backend.sfbEnabled = c.sfb;
+    generic.specialize = sim::SpecializeMode::Off;
+    sim::SimConfig fused = generic;
+    fused.specialize = sim::SpecializeMode::Require;
+
+    const sim::SimResult want =
+        sim::Simulator(p, sim::buildTopology(c.design), generic).run();
+
+    sim::Simulator ref(p, sim::buildTopology(c.design), generic);
+    auto cur = std::make_unique<sim::Simulator>(
+        p, sim::buildTopology(c.design), fused);
+    bool nextGeneric = true;
+    unsigned stops = 0;
+    unsigned fullRobStops = 0;
+    for (Cycle stop = 2000;; stop += 2000) {
+        const bool more = ref.advanceTo(stop);
+        ASSERT_EQ(cur->advanceTo(stop), more) << "at cycle " << stop;
+        if (!more)
+            break;
+        if (cur->backend().robSize() == generic.backend.robEntries)
+            ++fullRobStops;
+        const warp::Snapshot snap = warp::captureSnapshot(*cur);
+        ASSERT_EQ(snap.payload, warp::captureSnapshot(ref).payload)
+            << c.name << ": restored state diverged by cycle " << stop;
+        cur = std::make_unique<sim::Simulator>(
+            p, sim::buildTopology(c.design),
+            nextGeneric ? generic : fused);
+        nextGeneric = !nextGeneric;
+        warp::restoreSnapshot(*cur, snap);
+        ++stops;
+    }
+    EXPECT_GE(stops, 10u);
+    EXPECT_EQ(cur->finishRun(), want) << c.name;
+    EXPECT_EQ(ref.finishRun(), want) << c.name;
+    if (std::string(c.workload) == "gcc") {
+        EXPECT_GT(fullRobStops, 0u)
+            << c.name << ": no stop caught a full ROB";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chain, RestoreStress,
+    ::testing::Values(
+        StressCase{"B2_gcc", sim::Design::B2, "gcc", false},
+        StressCase{"B2_gcc_sfb", sim::Design::B2, "gcc", true},
+        StressCase{"TageL_leela", sim::Design::TageL, "leela", false},
+        StressCase{"TageL_leela_sfb", sim::Design::TageL, "leela",
+                   true}),
+    [](const ::testing::TestParamInfo<StressCase>& info) {
+        return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------
 // Functional fast-forward
