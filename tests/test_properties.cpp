@@ -60,6 +60,17 @@ struct IndexModeCase
     const char* name;
 };
 
+/**
+ * gtest prints a parameter by its mode name. Its default byte dump
+ * would show the pointer and the padding bytes, which change from run
+ * to run and so would change the discovered ctest names.
+ */
+void
+PrintTo(const IndexModeCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class HbimModes : public ::testing::TestWithParam<IndexModeCase>
 {
 };
