@@ -1,9 +1,9 @@
 /**
  * @file
- * Wavefront batch-evaluation harness (PR 10 gate). The search tiers'
- * functional metric is a §II-B trace walk per candidate;
- * trace::BatchTraceEvaluator streams the shared trace once across
- * all candidate lanes. Three checks:
+ * Batch-evaluation harness. The search tiers' functional metric is a
+ * §II-B trace walk per candidate; trace::BatchTraceEvaluator runs
+ * each candidate lane as one task on the SweepEngine pool, on the
+ * fused predict path. Three checks:
  *
  *  1. Bit identity: every lane's TraceResult must equal a solo
  *     serial TraceDrivenEvaluator run of the same design — the
@@ -15,8 +15,8 @@
  *     per-candidate walk, measured in the same run on one worker.
  *     The per-lane table work is identical on both sides, so this
  *     ratio isolates the batch scheduling overhead (plus the small
- *     fused-sweep/shared-decode win) from host speed — the gate is
- *     host-independent and asserts batching is never a tax.
+ *     fused-sweep win) from host speed — the gate is host-independent
+ *     and asserts batching is never a tax.
  *
  *  3. Pool scaling: the same candidate set batched on the SweepEngine
  *     pool at jobs = min(hardware, 16). Lanes are embarrassingly
@@ -247,9 +247,9 @@ main()
         "some lanes take the devirtualized fast path",
         specializedLanes > 0);
     // The per-lane table work is identical on both sides, so a
-    // single worker can only win the scheduling margin (fused sweep,
-    // shared block decode). The gate asserts batching never *costs*
-    // throughput; the wall-clock win is the pool leg below.
+    // single worker can only win the fused-sweep margin. The gate
+    // asserts batching never *costs* throughput; the wall-clock win
+    // is the pool leg below.
     ok &= bench::shapeCheck(
         "one-worker batched geomean >= 0.9x serial (never a tax)",
         geomean >= 0.9);

@@ -200,7 +200,7 @@ class ComposedPredictor
      * result (and all per-query state: metadata, providers,
      * attribution) is bit-identical to the per-stage sweep, which
      * remains the reference path (tests/test_batch_eval.cpp compares
-     * the two). Used by the wavefront batch evaluator's lanes.
+     * the two). Used by the batch trace evaluator's lanes.
      */
     void evaluatePacket(QueryState& q, PredictionBundle& out);
 

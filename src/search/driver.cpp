@@ -303,9 +303,9 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
         ++r.functionalEvals;
     };
     // Evaluate every not-yet-measured candidate in @p set. Batched
-    // mode streams each shared trace once and fans it across
-    // wavefront lanes (trace/batch_eval.hpp); lanes are independent,
-    // so the per-candidate accuracies — and therefore the frontier
+    // mode runs each candidate as one lane task on the worker pool
+    // (trace/batch_eval.hpp); lanes are independent, so the
+    // per-candidate accuracies — and therefore the frontier
     // artifact — are bit-identical to the serial per-candidate walk
     // (the CI batch-exactness leg byte-compares both).
     auto evalFunctionalSet = [&](const std::vector<std::size_t>& set) {

@@ -80,11 +80,11 @@ struct SearchConfig
     unsigned jobs = 0; ///< Worker pool for all tiers.
     bool progress = false;
     /**
-     * Evaluate tier-0/1 candidates through the wavefront batch
-     * evaluator (trace/batch_eval.hpp): each shared trace streams
-     * once across all candidate lanes instead of once per candidate.
-     * Off falls back to the serial per-candidate walk; the frontier
-     * artifact is byte-identical either way.
+     * Evaluate tier-0/1 candidates through the batch trace
+     * evaluator (trace/batch_eval.hpp): one pool task per candidate
+     * lane, each on the fused predict path. Off falls back to the
+     * serial per-candidate walk; the frontier artifact is
+     * byte-identical either way.
      */
     bool batchEval = true;
 

@@ -312,8 +312,8 @@ class Simulator
      * uninterrupted run() would have returned, including the deadlock
      * flag. Unlike calling run() after the fact, no further probe
      * tick is issued, so a stalled run reports the same cycle count
-     * as the direct path. The lockstep sweep driver finishes each
-     * replica through this.
+     * as the direct path. The serve daemon's watchdog drives runs in
+     * advanceTo() slices and finishes them through this.
      */
     SimResult finishRun();
 

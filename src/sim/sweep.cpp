@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -32,18 +31,6 @@ SweepPoint::preset(Design d, const prog::Program& program)
 SweepEngine::SweepEngine(unsigned jobs)
     : jobs_(jobs == 0 ? defaultJobs() : jobs)
 {
-    // COBRA_LOCKSTEP=1/0: enable/disable replica grouping
-    // process-wide (results are bit-identical either way; only wall
-    // clock moves). COBRA_LOCKSTEP_SLICE=N: override the rotation
-    // slice, for tuning the cache-residency / fairness trade on a
-    // given host.
-    if (const char* env = std::getenv("COBRA_LOCKSTEP"))
-        lockstep_ = env[0] == '1';
-    if (const char* env = std::getenv("COBRA_LOCKSTEP_SLICE")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            lockstepSlice_ = static_cast<Cycle>(n);
-    }
 }
 
 unsigned
@@ -68,19 +55,34 @@ SweepEngine::add(SweepPoint p)
     return points_.size() - 1;
 }
 
-namespace {
-
-/**
- * Fill a failed outcome's error/errorClass from the exception in
- * flight (call from a catch block). Shared by the solo path and the
- * lockstep driver so degrouped replicas report the exact taxonomy a
- * solo run would.
- */
-void
-captureCurrentException(SweepOutcome& out)
+SweepOutcome
+SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
+                      const PostRun& postRun) const
 {
+    SweepOutcome out;
+    out.label = pt.label;
+    const auto t0 = std::chrono::steady_clock::now();
     try {
-        throw;
+        Simulator s(*pt.program, pt.topology(), pt.cfg);
+        out.result = pt.execute ? pt.execute(s) : s.run();
+        out.loop = s.loopVariant();
+        out.host.simCycles = s.cycles();
+        out.host.simInsts = s.backend().committedInsts();
+        if (postRun) {
+            std::ostringstream oss;
+            postRun(idx, s, out.result, pt, oss);
+            out.postRunText = oss.str();
+        }
+        // CobraScope renders on the worker, while the Simulator is
+        // alive; the writers later concatenate in submission order.
+        if (!pt.cfg.output.statsJsonPath.empty())
+            out.statsJson = renderPointStats(pt.label, s, out.result);
+        if (s.tracer() != nullptr) {
+            std::ostringstream oss;
+            s.tracer()->writeChromeTrace(oss, static_cast<unsigned>(idx),
+                                         pt.label);
+            out.traceEvents = oss.str();
+        }
     } catch (const guard::DeadlockError& e) {
         // Keep the watchdog's pipeline post-mortem attached so CLI
         // consumers can still print it.
@@ -95,164 +97,10 @@ captureCurrentException(SweepOutcome& out)
         out.error = "unknown non-std exception";
         out.errorClass = "internal";
     }
-}
-
-} // namespace
-
-void
-SweepEngine::finishPoint(std::size_t idx, const SweepPoint& pt,
-                         Simulator& s, SweepOutcome& out,
-                         const PostRun& postRun) const
-{
-    out.loop = s.loopVariant();
-    out.host.simCycles = s.cycles();
-    out.host.simInsts = s.backend().committedInsts();
-    if (postRun) {
-        std::ostringstream oss;
-        postRun(idx, s, out.result, pt, oss);
-        out.postRunText = oss.str();
-    }
-    // CobraScope renders on the worker, while the Simulator is
-    // alive; the writers later concatenate in submission order.
-    if (!pt.cfg.output.statsJsonPath.empty())
-        out.statsJson = renderPointStats(pt.label, s, out.result);
-    if (s.tracer() != nullptr) {
-        std::ostringstream oss;
-        s.tracer()->writeChromeTrace(oss, static_cast<unsigned>(idx),
-                                     pt.label);
-        out.traceEvents = oss.str();
-    }
-}
-
-SweepOutcome
-SweepEngine::runPoint(std::size_t idx, const SweepPoint& pt,
-                      const PostRun& postRun) const
-{
-    SweepOutcome out;
-    out.label = pt.label;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-        Simulator s(*pt.program, pt.topology(), pt.cfg);
-        out.result = pt.execute ? pt.execute(s) : s.run();
-        finishPoint(idx, pt, s, out, postRun);
-    } catch (...) {
-        captureCurrentException(out);
-    }
     const auto t1 = std::chrono::steady_clock::now();
     out.host.wallSeconds =
         std::chrono::duration<double>(t1 - t0).count();
     return out;
-}
-
-std::vector<std::vector<std::size_t>>
-SweepEngine::buildTasks(const std::vector<SweepPoint>& points) const
-{
-    std::vector<std::vector<std::size_t>> tasks;
-    if (!lockstep_) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            tasks.push_back({i});
-        return tasks;
-    }
-    // Group by (Program, oracle seed, shared replay trace) in
-    // first-seen submission order,
-    // so task layout — and therefore scheduling — is deterministic.
-    // Points with a custom execute hook drive their Simulator
-    // themselves (warp interval runs restore checkpoints) and cannot
-    // be sliced with advanceTo(), so they stay solo.
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        bool joined = false;
-        if (!points[i].execute) {
-            for (auto& t : tasks) {
-                const SweepPoint& head = points[t.front()];
-                if (!head.execute &&
-                    head.program == points[i].program &&
-                    head.cfg.oracleSeed == points[i].cfg.oracleSeed &&
-                    head.cfg.replayTrace == points[i].cfg.replayTrace) {
-                    t.push_back(i);
-                    joined = true;
-                    break;
-                }
-            }
-        }
-        if (!joined)
-            tasks.push_back({i});
-    }
-    return tasks;
-}
-
-std::vector<SweepOutcome>
-SweepEngine::runLockstepGroup(const std::vector<std::size_t>& idxs,
-                              const std::vector<SweepPoint>& points,
-                              const PostRun& postRun) const
-{
-    struct Replica
-    {
-        std::unique_ptr<Simulator> sim;
-        double wall = 0.0;
-        bool active = false;
-    };
-    const std::size_t n = idxs.size();
-    std::vector<SweepOutcome> outs(n);
-    std::vector<Replica> reps(n);
-    std::size_t active = 0;
-
-    // Build every replica first; a topology factory or Simulator ctor
-    // that throws (e.g. --specialize on an unregistered tuple) fails
-    // only its own point, exactly as it would solo.
-    for (std::size_t i = 0; i < n; ++i) {
-        const SweepPoint& pt = points[idxs[i]];
-        outs[i].label = pt.label;
-        outs[i].replicaGroup = static_cast<unsigned>(n);
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            reps[i].sim = std::make_unique<Simulator>(
-                *pt.program, pt.topology(), pt.cfg);
-            reps[i].active = true;
-            ++active;
-        } catch (...) {
-            captureCurrentException(outs[i]);
-        }
-        reps[i].wall += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-        outs[i].host.wallSeconds = reps[i].wall;
-    }
-
-    // Advance the survivors round-robin in cycle slices: every active
-    // replica consumes the same stretch of the shared oracle stream
-    // before any moves on, so the stream's decode structures stay hot
-    // across the whole group. Each replica's wall clock accumulates
-    // only its own slices — per-point kcps keeps meaning.
-    while (active > 0) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!reps[i].active)
-                continue;
-            const SweepPoint& pt = points[idxs[i]];
-            const auto t0 = std::chrono::steady_clock::now();
-            try {
-                Simulator& s = *reps[i].sim;
-                if (!s.advanceTo(s.cycles() + lockstepSlice_)) {
-                    outs[i].result = s.finishRun();
-                    finishPoint(idxs[i], pt, s, outs[i], postRun);
-                    reps[i].active = false;
-                    --active;
-                }
-            } catch (...) {
-                // Degroup: this replica reports its usual errorClass
-                // and leaves; the rest of the group keeps advancing.
-                captureCurrentException(outs[i]);
-                reps[i].active = false;
-                --active;
-            }
-            reps[i].wall += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-            outs[i].host.wallSeconds = reps[i].wall;
-            if (!reps[i].active)
-                reps[i].sim.reset();
-        }
-    }
-    return outs;
 }
 
 std::vector<SweepOutcome>
@@ -283,33 +131,15 @@ SweepEngine::run(const PostRun& postRun)
         outcomes[idx].errorClass = "interrupted";
     };
 
-    // The schedulable unit is a task: a lockstep replica group when
-    // grouping applies, a single point otherwise. The stop flag is
-    // polled between tasks, so a cancelled group cancels whole.
-    const std::vector<std::vector<std::size_t>> tasks =
-        buildTasks(points);
-    auto runTask = [&](const std::vector<std::size_t>& task) {
+    // One point per task; the stop flag is polled between points.
+    runTasks(points.size(), [&](std::size_t idx) {
         if (stopped()) {
-            for (std::size_t idx : task)
-                cancel(idx);
+            cancel(idx);
             return;
         }
-        if (task.size() == 1) {
-            outcomes[task[0]] = runPoint(task[0], points[task[0]],
-                                         postRun);
-            report(task[0], outcomes[task[0]]);
-            return;
-        }
-        std::vector<SweepOutcome> outs =
-            runLockstepGroup(task, points, postRun);
-        for (std::size_t k = 0; k < task.size(); ++k) {
-            outcomes[task[k]] = std::move(outs[k]);
-            report(task[k], outcomes[task[k]]);
-        }
-    };
-
-    runTasks(tasks.size(),
-             [&](std::size_t t) { runTask(tasks[t]); });
+        outcomes[idx] = runPoint(idx, points[idx], postRun);
+        report(idx, outcomes[idx]);
+    });
     return outcomes;
 }
 
@@ -433,7 +263,6 @@ writeSweepJson(const std::string& path, const std::string& name,
             f << "      \"loop\": \""
               << jsonEscape(o.loop.empty() ? "generic" : o.loop)
               << "\",\n"
-              << "      \"replica_group\": " << o.replicaGroup << ",\n"
               << "      \"host\": {\n"
               << "        \"wall_seconds\": " << o.host.wallSeconds
               << ",\n"

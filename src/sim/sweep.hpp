@@ -107,13 +107,6 @@ struct SweepOutcome
      * Empty when the point failed before its Simulator was built.
      */
     std::string loop;
-    /**
-     * Size of the lockstep replica group this point ran in (points
-     * sharing a workload Program and oracle seed advance together
-     * against the same decoded oracle stream); 1 when the point ran
-     * alone or lockstep was disabled.
-     */
-    unsigned replicaGroup = 1;
     /** Text captured from the post-run hook (stats/area dumps). */
     std::string postRunText;
     /** CobraScope: this point's stats document (JSON object), rendered
@@ -180,8 +173,8 @@ class SweepEngine
      * when the call returns. With one worker the tasks run inline in
      * index order on the calling thread (the deterministic,
      * zero-overhead path). This is the scheduling primitive under
-     * run(); the wavefront batch evaluator (trace/batch_eval.hpp)
-     * schedules its lane chunks on it too.
+     * run(), one point per task; the batch trace evaluator
+     * (trace/batch_eval.hpp) runs one candidate lane per task on it.
      */
     void runTasks(std::size_t num_tasks,
                   const std::function<void(std::size_t)>& task) const;
@@ -205,32 +198,6 @@ class SweepEngine
     /** Per-point completion hook (see OnOutcome). */
     void setOnOutcome(OnOutcome cb) { onOutcome_ = std::move(cb); }
 
-    /**
-     * Lockstep replica grouping (opt-in; COBRA_LOCKSTEP=1 enables it
-     * process-wide): points that share a workload Program and oracle
-     * seed — and use the default run() driver — are advanced together
-     * in cycle slices, so all replicas walk the same decoded oracle
-     * stream while it is hot in host caches. Purely a host-side
-     * schedule: every replica's SimResult is bit-identical to a solo
-     * run (tested in test_sweep.cpp). A replica that throws is
-     * degrouped with its usual errorClass and the rest of the group
-     * continues. Off by default: on the 1-CPU reference container the
-     * rotation costs about as much as the shared-stream residency
-     * saves (oracle generation is ~3.5% of sim time; see
-     * docs/PERFORMANCE.md "Lockstep multi-replica sweeps").
-     */
-    void setLockstep(bool on) { lockstep_ = on; }
-
-    bool lockstep() const { return lockstep_; }
-
-    /**
-     * Cycles each replica advances per lockstep turn. Small enough
-     * that group members stay within a cache-resident window of the
-     * shared oracle stream, large enough to amortise the rotation.
-     * Exposed for tests; the default is fine for benchmarks.
-     */
-    void setLockstepSlice(Cycle c) { lockstepSlice_ = c < 1 ? 1 : c; }
-
     /** Queue a point; returns its submission index. */
     std::size_t add(SweepPoint p);
 
@@ -247,25 +214,6 @@ class SweepEngine
     SweepOutcome runPoint(std::size_t idx, const SweepPoint& pt,
                           const PostRun& postRun) const;
 
-    /** Post-run bookkeeping shared by the solo and lockstep paths:
-     *  loop variant, postRun hook, stats/trace rendering. */
-    void finishPoint(std::size_t idx, const SweepPoint& pt,
-                     Simulator& s, SweepOutcome& out,
-                     const PostRun& postRun) const;
-
-    /** Run a lockstep replica group (>= 2 points, same Program and
-     *  oracle seed); returns one outcome per member, ordered like
-     *  @p idxs. */
-    std::vector<SweepOutcome>
-    runLockstepGroup(const std::vector<std::size_t>& idxs,
-                     const std::vector<SweepPoint>& points,
-                     const PostRun& postRun) const;
-
-    /** Partition point indices into schedulable tasks: lockstep
-     *  groups when enabled, singletons otherwise. */
-    std::vector<std::vector<std::size_t>>
-    buildTasks(const std::vector<SweepPoint>& points) const;
-
     bool stopped() const
     {
         return stop_ != nullptr &&
@@ -274,8 +222,6 @@ class SweepEngine
 
     unsigned jobs_;
     bool progress_ = false;
-    bool lockstep_ = false;
-    Cycle lockstepSlice_ = 8192;
     const std::atomic<bool>* stop_ = nullptr;
     OnOutcome onOutcome_;
     std::vector<SweepPoint> points_;

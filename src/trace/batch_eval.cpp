@@ -1,53 +1,11 @@
 #include "trace/batch_eval.hpp"
 
-#include <algorithm>
-#include <memory>
-
 #include "guard/errors.hpp"
 #include "sim/sweep.hpp"
 #include "trace/replay.hpp"
 
 namespace cobra::trace {
 namespace {
-
-/** Normalized view of one conditional-branch record. */
-struct Rec
-{
-    Addr pc;
-    unsigned slot;
-    bool taken;
-    Addr target;
-};
-
-inline std::size_t
-traceLen(const BranchTrace& t)
-{
-    return t.records.size();
-}
-
-inline std::size_t
-traceLen(const DecodedTrace& t)
-{
-    return t.size();
-}
-
-/** Fetch record @p n; false when it is not a conditional branch. */
-inline bool
-fetchRec(const BranchTrace& t, std::size_t n, Rec& r)
-{
-    const BranchRecord& br = t.records[n];
-    r = Rec{br.pc, br.slot, br.taken, br.target};
-    return true;
-}
-
-inline bool
-fetchRec(const DecodedTrace& t, std::size_t n, Rec& r)
-{
-    if (t.typeAt(n) != RecordType::Cond)
-        return false;
-    r = Rec{t.pc[n], t.slotAt(n), t.takenAt(n), t.target[n]};
-    return true;
-}
 
 /** Fill a failed lane's error fields from the in-flight exception. */
 void
@@ -60,127 +18,16 @@ captureLaneException(BatchLaneResult& out)
         out.error = e.what();
         out.errorClass = guard::errorClassOf(e);
     } catch (...) {
-        out.error = "unknown exception";
-        out.errorClass = "unknown";
+        // Same class SweepEngine gives a non-std exception.
+        out.error = "unknown non-std exception";
+        out.errorClass = "internal";
     }
-}
-
-/** One decoded record plus its warmup disposition — shared by every
- *  lane, so the per-record decode/warmup logic runs once per block
- *  instead of once per lane. */
-struct BlockRec
-{
-    Rec r;
-    bool measured;
-};
-
-/**
- * Evaluate lanes [b, e) in one pass over the trace. A lane that
- * throws — at construction or mid-stream — is captured into its
- * result slot and dropped from the wavefront; the surviving lanes
- * keep streaming undisturbed (their state never depended on it).
- */
-template <typename Trace>
-void
-runChunk(const Trace& trace, std::size_t warmup,
-         std::vector<BatchLane>& lanes, std::size_t b, std::size_t e,
-         bool specialize, std::size_t block_recs,
-         std::vector<BatchLaneResult>& out)
-{
-    const std::size_t m = e - b;
-    std::vector<std::unique_ptr<TraceDrivenEvaluator>> evs(m);
-    std::vector<TraceResult> res(m);
-    // Lanes still streaming, by chunk-local index. Kept as a dense
-    // list so the record loop carries no per-dead-lane branch.
-    std::vector<std::size_t> live;
-    live.reserve(m);
-    for (std::size_t k = 0; k < m; ++k) {
-        BatchLaneResult& o = out[b + k];
-        o.label = lanes[b + k].label;
-        try {
-            evs[k] = std::make_unique<TraceDrivenEvaluator>(
-                lanes[b + k].predictor(), lanes[b + k].ghistBits,
-                lanes[b + k].lhistBits);
-            if (specialize)
-                evs[k]->specialize();
-            // Lanes take the fused packet sweep: one composer call
-            // per record instead of a bundle-returning walk per
-            // stage. Bit-identical (the serial evaluator keeps the
-            // per-stage reference walk; tests compare the two).
-            evs[k]->setFusedPredict(true);
-            o.loop = evs[k]->specialized() ? "specialized" : "generic";
-            live.push_back(k);
-        } catch (...) {
-            captureLaneException(o);
-            evs[k].reset();
-        }
-    }
-
-    auto drop = [&](std::size_t k) {
-        captureLaneException(out[b + k]);
-        evs[k].reset();
-        live.erase(std::find(live.begin(), live.end(), k));
-    };
-
-    // The blocked wavefront: decode a block of records once, then
-    // rotate the live lanes through it — each lane runs the whole
-    // block with its tables cache-hot before the next lane's working
-    // set displaces them. (A per-record rotation measures *slower*
-    // than serial on the reference container: every record touches
-    // every lane's tables, so the effective working set is the sum
-    // of all lanes', and the interleave thrashes what the serial
-    // walk keeps resident.) Each lane still executes exactly the
-    // serial predict-then-update record sequence, so results are
-    // identical for any block size.
-    const std::size_t len = traceLen(trace);
-    std::size_t cond = 0;
-    std::vector<BlockRec> block;
-    block.reserve(std::min(block_recs, len));
-    Rec r;
-    for (std::size_t n = 0; n < len && !live.empty();) {
-        block.clear();
-        for (; n < len && block.size() < block_recs; ++n) {
-            if (!fetchRec(trace, n, r))
-                continue;
-            block.push_back({r, cond >= warmup});
-            ++cond;
-        }
-        for (std::size_t i = 0; i < live.size(); ++i) {
-            const std::size_t k = live[i];
-            TraceDrivenEvaluator& ev = *evs[k];
-            try {
-                for (const BlockRec& br : block) {
-                    ev.predictStep(br.r.pc, br.r.slot, br.r.taken,
-                                   br.r.target, br.measured, res[k]);
-                    ev.updateStep();
-                }
-            } catch (...) {
-                drop(k);
-                --i;
-            }
-        }
-    }
-    for (std::size_t k = 0; k < m; ++k)
-        if (out[b + k].ok())
-            out[b + k].result = res[k];
 }
 
 } // namespace
 
 BatchTraceEvaluator::BatchTraceEvaluator(unsigned jobs) : jobs_(jobs)
 {
-}
-
-void
-BatchTraceEvaluator::setChunkLanes(unsigned n)
-{
-    chunkLanes_ = n;
-}
-
-void
-BatchTraceEvaluator::setBlockRecords(std::size_t n)
-{
-    blockRecs_ = n == 0 ? 1 : n;
 }
 
 std::size_t
@@ -197,26 +44,30 @@ BatchTraceEvaluator::run(const Trace& trace, std::size_t warmup)
     std::vector<BatchLane> lanes = std::move(lanes_);
     lanes_.clear();
     std::vector<BatchLaneResult> out(lanes.size());
-    if (lanes.empty())
-        return out;
 
+    // One task per lane. A lane that throws — at construction or
+    // mid-stream — is captured into its own result slot; the other
+    // lanes never shared state with it.
     const sim::SweepEngine eng(jobs_);
-    std::size_t chunk = chunkLanes_;
-    if (chunk == 0) {
-        // Auto: aim for ~4 tasks per worker so the work-stealing
-        // pool balances, with chunks as large as that allows (block
-        // decode amortizes across a chunk's lanes).
-        const std::size_t target =
-            std::max<std::size_t>(4, std::size_t{4} * eng.jobs());
-        chunk = std::max<std::size_t>(
-            1, (lanes.size() + target - 1) / target);
-    }
-    const std::size_t numChunks = (lanes.size() + chunk - 1) / chunk;
-    eng.runTasks(numChunks, [&](std::size_t c) {
-        const std::size_t b = c * chunk;
-        const std::size_t e = std::min(lanes.size(), b + chunk);
-        runChunk(trace, warmup, lanes, b, e, specialize_, blockRecs_,
-                 out);
+    eng.runTasks(lanes.size(), [&](std::size_t k) {
+        BatchLaneResult& o = out[k];
+        o.label = lanes[k].label;
+        try {
+            TraceDrivenEvaluator ev(lanes[k].predictor(),
+                                    lanes[k].ghistBits,
+                                    lanes[k].lhistBits);
+            if (specialize_)
+                ev.specialize();
+            // Lanes take the fused packet sweep: one composer call
+            // per record instead of a bundle-returning walk per
+            // stage. Bit-identical (the serial evaluator keeps the
+            // per-stage reference walk; tests compare the two).
+            ev.setFusedPredict(true);
+            o.loop = ev.specialized() ? "specialized" : "generic";
+            o.result = ev.evaluate(trace, warmup);
+        } catch (...) {
+            captureLaneException(o);
+        }
     });
     return out;
 }

@@ -1,24 +1,15 @@
 /**
  * @file
- * Wavefront batch trace evaluation. The §II-B trace-driven evaluator
+ * Batch trace evaluation. The §II-B trace-driven evaluator
  * (trace/trace.hpp) is the search tiers' cheap screening metric, and
  * the search driver needs it for *many* candidate designs over the
- * *same* recorded trace. Walking the trace once per candidate
- * serializes M full streams, each paying the stream decode and the
- * per-stage composer walk in full. This module streams the trace
- * ONCE and fans blocks of records out across M independent candidate
- * lanes — a blocked wavefront: each block is decoded (record fetch,
- * warmup disposition) once for all lanes, each lane then runs the
- * block with its tables cache-hot before the rotation moves on, and
- * every lane takes the fused packet sweep
- * (ComposedPredictor::evaluatePacket) plus, where its tuple is
- * registered, the devirtualized fast path. Lanes share no predictor
- * state, so any cross-lane interleaving is exact: each lane sees
- * precisely the serial evaluator's record sequence, and its
- * TraceResult is bit-identical to a solo run (enforced by
- * tests/test_batch_eval.cpp).
- *
- * Lane chunks are scheduled on the work-stealing SweepEngine pool;
+ * *same* recorded trace. Each candidate is one lane, and each lane is
+ * one task on the work-stealing SweepEngine pool: the task builds the
+ * lane's TraceDrivenEvaluator, binds its devirtualized fast path where
+ * the tuple is registered, and streams the whole trace through the
+ * fused packet sweep (ComposedPredictor::evaluatePacket). Lanes share
+ * no predictor state, so each lane's TraceResult is bit-identical to
+ * a solo serial run (enforced by tests/test_batch_eval.cpp), and
  * results come back in lane submission order regardless of the
  * worker count.
  */
@@ -45,7 +36,7 @@ struct BatchLane
 
     /**
      * Builds the lane's composed pipeline. Called once per
-     * evaluate(), on the worker thread that runs the lane's chunk —
+     * evaluate(), on the worker thread that runs the lane —
      * construction cost parallelizes with the pool.
      */
     std::function<bpu::ComposedPredictor()> predictor;
@@ -74,33 +65,15 @@ struct BatchLaneResult
 
 /**
  * Batched multi-design trace evaluator: add lanes, then evaluate
- * them all in one pass over a trace. A failing lane (bad topology
- * factory, mid-stream contract violation) is captured in its own
- * result slot and does not disturb the other lanes.
+ * them all over one trace, one pool task per lane. A failing lane
+ * (bad topology factory, mid-stream contract violation) is captured
+ * in its own result slot and does not disturb the other lanes.
  */
 class BatchTraceEvaluator
 {
   public:
     /** @param jobs SweepEngine worker count; 0 means defaultJobs(). */
     explicit BatchTraceEvaluator(unsigned jobs = 1);
-
-    /**
-     * Lanes evaluated together by one worker, per task. Small chunks
-     * schedule better across workers; larger chunks amortize each
-     * block's decode over more lanes. 0 (the default) sizes chunks
-     * automatically from the worker count: enough tasks to keep
-     * every worker busy, as large as that allows.
-     */
-    void setChunkLanes(unsigned n);
-
-    /**
-     * Records per wavefront block: how long one lane streams before
-     * the rotation moves to the next lane. Larger blocks keep each
-     * lane's tables resident longer; smaller blocks tighten the
-     * interleave. Any value is bit-identical — this is purely a
-     * host-side schedule.
-     */
-    void setBlockRecords(std::size_t n);
 
     /**
      * Bind each lane's devirtualized fused loop when its tuple is
@@ -117,8 +90,8 @@ class BatchTraceEvaluator
     std::size_t pending() const { return lanes_.size(); }
 
     /**
-     * Stream @p trace once through every queued lane; skips the
-     * first @p warmup records per lane, exactly like
+     * Stream @p trace through every queued lane; skips the first
+     * @p warmup records per lane, exactly like
      * TraceDrivenEvaluator::evaluate. Clears the lane set.
      */
     std::vector<BatchLaneResult> evaluate(const BranchTrace& trace,
@@ -135,8 +108,6 @@ class BatchTraceEvaluator
 
     std::vector<BatchLane> lanes_;
     unsigned jobs_;
-    unsigned chunkLanes_ = 0;
-    std::size_t blockRecs_ = 4096;
     bool specialize_ = true;
 };
 

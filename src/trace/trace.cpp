@@ -38,15 +38,14 @@ TraceDrivenEvaluator::TraceDrivenEvaluator(bpu::ComposedPredictor pred,
 }
 
 void
-TraceDrivenEvaluator::predictStep(Addr pc, unsigned slot_idx,
-                                  bool taken, Addr target,
-                                  bool measured, TraceResult& res)
+TraceDrivenEvaluator::step(Addr pc, unsigned slot_idx, bool taken,
+                           Addr target, bool measured, TraceResult& res)
 {
-    lidx_ = (pc >> 4) % lhist_.size();
+    const std::size_t lidx = (pc >> 4) % lhist_.size();
 
     // Idealized predict: perfect, instantly-updated histories.
     q_.reset(pc, pred_.width(), numComps_, pred_.width());
-    q_.captureHistory(ghist_, lhist_[lidx_]);
+    q_.captureHistory(ghist_, lhist_[lidx]);
     if (fused_) {
         pred_.evaluatePacket(q_, bundle_);
     } else {
@@ -57,41 +56,31 @@ TraceDrivenEvaluator::predictStep(Addr pc, unsigned slot_idx,
     }
 
     const auto& slot = bundle_.slots[slot_idx];
-    const bool pred = slot.valid && slot.taken;
+    const bool mispredicted = (slot.valid && slot.taken) != taken;
     if (measured) {
         ++res.branches;
-        res.mispredicts += pred != taken;
+        res.mispredicts += mispredicted;
     }
 
-    pc_ = pc;
-    slot_ = slot_idx;
-    taken_ = taken;
-    target_ = target;
-    mispredicted_ = pred != taken;
-}
-
-void
-TraceDrivenEvaluator::updateStep()
-{
     // Immediate, in-order update — no speculation, no delay.
     bpu::ResolveEvent ev;
-    ev.pc = pc_;
+    ev.pc = pc;
     ev.ghist = &q_.ghist();
     ev.lhist = q_.lhist();
-    ev.brMask[slot_] = true;
-    ev.takenMask[slot_] = taken_;
-    ev.cfiValid = taken_;
-    ev.cfiIdx = slot_;
+    ev.brMask[slot_idx] = true;
+    ev.takenMask[slot_idx] = taken;
+    ev.cfiValid = taken;
+    ev.cfiIdx = slot_idx;
     ev.cfiType = bpu::CfiType::Br;
-    ev.cfiTaken = taken_;
-    ev.target = target_;
-    ev.mispredicted = mispredicted_;
+    ev.cfiTaken = taken;
+    ev.target = target;
+    ev.mispredicted = mispredicted;
     ev.predicted = &bundle_;
 
     // Fire (speculative components like the loop predictor count
     // at query time, and in a trace model speculation is perfect).
     bpu::FireEvent fev;
-    fev.pc = pc_;
+    fev.pc = pc;
     fev.finalPred = &bundle_;
     fev.ghist = &q_.ghist();
     fev.lhist = q_.lhist();
@@ -104,20 +93,9 @@ TraceDrivenEvaluator::updateStep()
     }
     pred_.update(ev, metas_);
 
-    ghist_.push(taken_);
-    lhist_[lidx_] = ((lhist_[lidx_] << 1) | (taken_ ? 1 : 0)) &
-                    maskBits(lhistBits_);
-}
-
-void
-TraceDrivenEvaluator::prefetchNext(Addr pc)
-{
-    bpu::PredictContext ctx;
-    ctx.pc = pc;
-    ctx.validSlots = pred_.width();
-    ctx.ghist = &ghist_;
-    ctx.lhist = lhist_[(pc >> 4) % lhist_.size()];
-    pred_.prefetchAll(ctx);
+    ghist_.push(taken);
+    lhist_[lidx] = ((lhist_[lidx] << 1) | (taken ? 1 : 0)) &
+                   maskBits(lhistBits_);
 }
 
 TraceResult

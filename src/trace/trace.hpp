@@ -90,7 +90,7 @@ class TraceDrivenEvaluator
     bool specialized() const { return pred_.specialized(); }
 
     /**
-     * Route predictStep() through the composer's fused packet sweep
+     * Route step() through the composer's fused packet sweep
      * (ComposedPredictor::evaluatePacket) instead of the per-stage
      * evaluateStage() walk. Bit-identical results; off by default so
      * the serial evaluator stays the reference implementation the
@@ -114,35 +114,9 @@ class TraceDrivenEvaluator
     TraceResult evaluate(const DecodedTrace& trace,
                          std::size_t warmup = 0);
 
-    /**
-     * Split-phase step API for the wavefront batch evaluator
-     * (trace/batch_eval.hpp). One idealized step is predictStep()
-     * immediately followed by updateStep() for the same record; the
-     * split lets a caller schedule many independent lanes' phases
-     * around each other. Each lane still sees exactly the serial
-     * call sequence, so results are bit-identical to step().
-     */
-    void predictStep(Addr pc, unsigned slot, bool taken, Addr target,
-                     bool measured, TraceResult& res);
-
-    /** Phase 2: resolve/update the record passed to predictStep(). */
-    void updateStep();
-
-    /**
-     * Architecturally inert host-cache hint: pull the rows the next
-     * record's predict phase will index toward the cache while other
-     * lanes' work is in flight.
-     */
-    void prefetchNext(Addr pc);
-
     /** One idealized predict/update step; counts when @p measured. */
-    void
-    step(Addr pc, unsigned slot, bool taken, Addr target,
-         bool measured, TraceResult& res)
-    {
-        predictStep(pc, slot, taken, target, measured, res);
-        updateStep();
-    }
+    void step(Addr pc, unsigned slot, bool taken, Addr target,
+              bool measured, TraceResult& res);
 
   private:
     bpu::ComposedPredictor pred_;
@@ -158,14 +132,6 @@ class TraceDrivenEvaluator
     bpu::QueryState q_;
     bpu::PredictionBundle bundle_;
     bpu::MetadataBundle metas_;
-
-    // The record in flight between the two phases.
-    Addr pc_ = kInvalidAddr;
-    Addr target_ = kInvalidAddr;
-    unsigned slot_ = 0;
-    std::size_t lidx_ = 0;
-    bool taken_ = false;
-    bool mispredicted_ = false;
 };
 
 } // namespace cobra::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Wavefront batch-evaluation tests: the batch evaluator is only
+ * Batch-evaluation tests: the batch evaluator is only
  * admissible as a search tier if every lane's TraceResult is
  * bit-identical to a solo serial TraceDrivenEvaluator walk of the
  * same design. The matrix: every library component kind, lane counts
@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,6 +178,37 @@ expectSame(const trace::TraceResult& a, const trace::TraceResult& b,
     EXPECT_EQ(a.mispredicts, b.mispredicts) << what;
 }
 
+/**
+ * Passes every query through unchanged, then violates its contract
+ * on the update after @p limit: a lane that fails mid-stream.
+ */
+class TripAfterUpdates : public bpu::PredictorComponent
+{
+  public:
+    explicit TripAfterUpdates(std::uint64_t limit)
+        : PredictorComponent("TRIP", 1, 4), limit_(limit)
+    {
+    }
+
+    void predict(const bpu::PredictContext&, bpu::PredictionBundle&,
+                 bpu::Metadata&) override
+    {
+    }
+
+    void update(const bpu::ResolveEvent&) override
+    {
+        if (++updates_ > limit_)
+            throw guard::ContractViolation(name(), updates_,
+                                           "synthetic mid-stream failure");
+    }
+
+    std::uint64_t storageBits() const override { return 0; }
+
+  private:
+    std::uint64_t limit_;
+    std::uint64_t updates_ = 0;
+};
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -205,8 +237,8 @@ TEST(BatchEval, EveryComponentKindMatchesSerial)
 TEST(BatchEval, LaneCountsAndWarmupOffsetsMatchSerial)
 {
     // Identity must hold for any lane count (1 = degenerate batch,
-    // 3 = partial wavefront, 16 = two default chunks) and any warmup
-    // boundary, including 0 and a warmup past the trace end.
+    // 3 = a few lanes, 16 = more lanes than component kinds) and any
+    // warmup boundary, including 0 and a warmup past the trace end.
     const std::vector<KindLane> kinds = kindLanes();
     for (unsigned lanes : {1u, 3u, 16u}) {
         for (std::size_t warmup : {std::size_t{0}, std::size_t{1'500},
@@ -274,7 +306,6 @@ TEST(BatchEval, WorkerWidthDoesNotChangeResults)
     const std::vector<KindLane> kinds = kindLanes();
     auto runAt = [&](unsigned jobs) {
         trace::BatchTraceEvaluator be(jobs);
-        be.setChunkLanes(3); // Several chunks even at 10 lanes.
         for (const KindLane& k : kinds) {
             trace::BatchLane lane;
             lane.label = k.kind;
@@ -284,19 +315,23 @@ TEST(BatchEval, WorkerWidthDoesNotChangeResults)
         return be.evaluate(sharedTrace(), 1'000);
     };
     const auto one = runAt(1);
-    const auto four = runAt(4);
-    ASSERT_EQ(one.size(), four.size());
-    for (std::size_t i = 0; i < one.size(); ++i) {
-        ASSERT_TRUE(one[i].ok() && four[i].ok());
-        EXPECT_EQ(one[i].label, four[i].label);
-        expectSame(one[i].result, four[i].result, one[i].label);
+    // 16 workers exceeds the lane count: the pool caps itself.
+    for (unsigned jobs : {4u, 16u}) {
+        const auto wide = runAt(jobs);
+        ASSERT_EQ(one.size(), wide.size());
+        for (std::size_t i = 0; i < one.size(); ++i) {
+            ASSERT_TRUE(one[i].ok() && wide[i].ok());
+            EXPECT_EQ(one[i].label, wide[i].label);
+            expectSame(one[i].result, wide[i].result,
+                       one[i].label + " jobs=" + std::to_string(jobs));
+        }
     }
 }
 
 TEST(BatchEval, FusedPredictMatchesPerStageReference)
 {
     // The lane fast path (ComposedPredictor::evaluatePacket) against
-    // the per-stage reference walk, same evaluator class, lockstep.
+    // the per-stage reference walk, same evaluator class.
     for (const KindLane& k : kindLanes()) {
         trace::TraceDrivenEvaluator ref(k.make());
         trace::TraceDrivenEvaluator fused(k.make());
@@ -344,43 +379,69 @@ TEST(BatchEval, DecodedTracePathMatchesSerial)
 
 TEST(BatchEval, FailedLaneDoesNotDisturbTheOthers)
 {
+    // Three failure shapes, each confined to its own lane: a factory
+    // that throws a ConfigError, one that throws a non-std value, and
+    // a component that violates its contract mid-stream.
     const std::vector<KindLane> kinds = kindLanes();
-    trace::BatchTraceEvaluator be(1);
-    {
-        trace::BatchLane ok;
-        ok.label = "good-a";
-        ok.predictor = kinds[0].make;
-        be.addLane(std::move(ok));
-    }
-    {
-        trace::BatchLane bad;
-        bad.label = "bad";
-        bad.predictor = []() -> bpu::ComposedPredictor {
-            throw guard::ConfigError("intentionally broken lane");
+    for (unsigned jobs : {1u, 4u}) {
+        trace::BatchTraceEvaluator be(jobs);
+        auto add = [&](const char* label,
+                       std::function<bpu::ComposedPredictor()> make) {
+            trace::BatchLane lane;
+            lane.label = label;
+            lane.predictor = std::move(make);
+            be.addLane(std::move(lane));
         };
-        be.addLane(std::move(bad));
+        add("good-a", kinds[0].make);
+        add("bad-config", []() -> bpu::ComposedPredictor {
+            throw guard::ConfigError("intentionally broken lane");
+        });
+        add("good-b", kinds[3].make);
+        add("bad-nonstd", []() -> bpu::ComposedPredictor { throw 42; });
+        add("bad-midstream", [] {
+            bpu::Topology topo;
+            auto* trip = topo.make<TripAfterUpdates>(2'500);
+            auto* base = topo.make<comps::Hbim>("BIM", smallBim());
+            topo.setRoot(topo.chainOf({trip, base}));
+            return bpu::ComposedPredictor(std::move(topo), 4);
+        });
+        add("good-c", kinds[5].make);
+
+        const auto outs = be.evaluate(sharedTrace(), 1'000);
+        const std::string at = " jobs=" + std::to_string(jobs);
+        ASSERT_EQ(outs.size(), 6u);
+
+        EXPECT_FALSE(outs[1].ok());
+        EXPECT_EQ(outs[1].errorClass, "config") << at;
+        EXPECT_NE(outs[1].error.find("intentionally broken"),
+                  std::string::npos);
+        ASSERT_NE(outs[1].exception, nullptr);
+        EXPECT_THROW(std::rethrow_exception(outs[1].exception),
+                     guard::ConfigError);
+
+        EXPECT_FALSE(outs[3].ok());
+        EXPECT_EQ(outs[3].errorClass, "internal") << at;
+        ASSERT_NE(outs[3].exception, nullptr);
+        EXPECT_THROW(std::rethrow_exception(outs[3].exception), int);
+
+        // Built fine (its loop is known), then failed while streaming.
+        EXPECT_FALSE(outs[4].ok());
+        EXPECT_EQ(outs[4].loop, "generic") << at;
+        EXPECT_EQ(outs[4].errorClass, "contract") << at;
+        EXPECT_NE(outs[4].error.find("TRIP"), std::string::npos);
+        ASSERT_NE(outs[4].exception, nullptr);
+        EXPECT_THROW(std::rethrow_exception(outs[4].exception),
+                     guard::ContractViolation);
+
+        const std::pair<std::size_t, std::size_t> good[] = {
+            {0, 0}, {2, 3}, {5, 5}};
+        for (const auto& [lane, kind] : good) {
+            ASSERT_TRUE(outs[lane].ok()) << outs[lane].error << at;
+            expectSame(outs[lane].result,
+                       serialResult(kinds[kind].make, 1'000),
+                       outs[lane].label + at);
+        }
     }
-    {
-        trace::BatchLane ok;
-        ok.label = "good-b";
-        ok.predictor = kinds[3].make;
-        be.addLane(std::move(ok));
-    }
-    const auto outs = be.evaluate(sharedTrace(), 1'000);
-    ASSERT_EQ(outs.size(), 3u);
-    EXPECT_FALSE(outs[1].ok());
-    EXPECT_EQ(outs[1].errorClass, "config");
-    EXPECT_NE(outs[1].error.find("intentionally broken"),
-              std::string::npos);
-    ASSERT_NE(outs[1].exception, nullptr);
-    EXPECT_THROW(std::rethrow_exception(outs[1].exception),
-                 guard::ConfigError);
-    ASSERT_TRUE(outs[0].ok());
-    ASSERT_TRUE(outs[2].ok());
-    expectSame(outs[0].result, serialResult(kinds[0].make, 1'000),
-               "good-a");
-    expectSame(outs[2].result, serialResult(kinds[3].make, 1'000),
-               "good-b");
 }
 
 // ---------------------------------------------------------------------

@@ -344,7 +344,10 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
 {
     sim::SweepEngine engine(1);
     engine.add(smallPoint(sim::Design::Tourney, "leela"));
+    engine.add(smallPoint(sim::Design::B2, "leela"));
     const auto outs = engine.run();
+    ASSERT_TRUE(outs[1].ok()) << outs[1].error;
+    EXPECT_EQ(outs[1].loop, "specialized");
 
     const std::string path =
         ::testing::TempDir() + "/cobra_sweep_test.json";
@@ -360,6 +363,11 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
               std::string::npos);
     EXPECT_NE(doc.find("\"kilocycles_per_sec\""), std::string::npos);
     EXPECT_NE(doc.find("\"cond_mispredicts\""), std::string::npos);
+    // Points run one per task: no schedule field sits between a
+    // point's loop and its host block.
+    EXPECT_NE(doc.find("\"loop\": \"specialized\",\n"
+                       "      \"host\": {"),
+              std::string::npos);
 }
 
 TEST(SweepJson, EscapesControlAndQuoteCharacters)
@@ -378,150 +386,4 @@ TEST(WorkloadCache, SharesOneProgramPerName)
     const prog::Program& other = c.get("mcf");
     EXPECT_NE(&a, &other);
     EXPECT_EQ(c.size(), 2u);
-}
-
-// ---- Lockstep replica groups -----------------------------------------
-
-TEST(Lockstep, SerialParallelAndLockstepAreBitIdentical)
-{
-    // The three schedules the engine can produce — solo-serial
-    // (lockstep off, jobs 1), solo-parallel (lockstep off, jobs 4),
-    // and lockstep groups — must yield byte-identical outcomes.
-    auto grid = [](unsigned jobs, bool lockstep) {
-        const sim::Design designs[] = {
-            sim::Design::Tourney, sim::Design::B2, sim::Design::TageL};
-        sim::SweepEngine engine(jobs);
-        engine.setLockstep(lockstep);
-        for (const char* wl : {"leela", "x264"})
-            for (sim::Design d : designs)
-                engine.add(smallPoint(d, wl));
-        return engine.run();
-    };
-    const auto solo = grid(1, false);
-    const auto par = grid(4, false);
-    const auto lock = grid(1, true);
-    const auto lockPar = grid(4, true);
-
-    ASSERT_EQ(solo.size(), 6u);
-    for (std::size_t i = 0; i < solo.size(); ++i) {
-        ASSERT_TRUE(solo[i].ok()) << solo[i].error;
-        EXPECT_EQ(solo[i].replicaGroup, 1u);
-        EXPECT_EQ(lock[i].replicaGroup, 3u)
-            << lock[i].label << ": three designs share each workload";
-        EXPECT_EQ(solo[i].result, par[i].result) << solo[i].label;
-        EXPECT_EQ(solo[i].result, lock[i].result)
-            << solo[i].label << ": lockstep diverged from solo";
-        EXPECT_EQ(solo[i].result, lockPar[i].result) << solo[i].label;
-        EXPECT_EQ(solo[i].statsJson, lock[i].statsJson);
-    }
-}
-
-TEST(Lockstep, SliceSizeDoesNotChangeResults)
-{
-    auto run = [](Cycle slice) {
-        sim::SweepEngine engine(1);
-        engine.setLockstep(true);
-        engine.setLockstepSlice(slice);
-        for (unsigned i = 0; i < 3; ++i)
-            engine.add(smallPoint(sim::Design::TageL, "gcc"));
-        return engine.run();
-    };
-    const auto coarse = run(100'000); // One slice covers the run.
-    const auto fine = run(64);        // Hundreds of rotations.
-    ASSERT_EQ(coarse.size(), fine.size());
-    for (std::size_t i = 0; i < coarse.size(); ++i) {
-        ASSERT_TRUE(coarse[i].ok()) << coarse[i].error;
-        EXPECT_EQ(coarse[i].replicaGroup, 3u);
-        EXPECT_EQ(coarse[i].result, fine[i].result);
-    }
-}
-
-TEST(Lockstep, GroupsOnlyMatchingProgramAndSeed)
-{
-    sim::SweepEngine engine(1);
-    engine.setLockstep(true);
-    engine.add(smallPoint(sim::Design::B2, "leela"));     // group A
-    engine.add(smallPoint(sim::Design::Tourney, "leela")); // group A
-    engine.add(smallPoint(sim::Design::B2, "x264"));      // group B
-    sim::SweepPoint seeded = smallPoint(sim::Design::TageL, "leela");
-    seeded.cfg.oracleSeed += 1; // different stream: stays solo
-    engine.add(std::move(seeded));
-    sim::SweepPoint hooked = smallPoint(sim::Design::B2, "leela");
-    hooked.execute = [](sim::Simulator& s) { return s.run(); };
-    engine.add(std::move(hooked)); // custom driver: stays solo
-
-    const auto outs = engine.run();
-    ASSERT_EQ(outs.size(), 5u);
-    EXPECT_EQ(outs[0].replicaGroup, 2u);
-    EXPECT_EQ(outs[1].replicaGroup, 2u);
-    EXPECT_EQ(outs[2].replicaGroup, 1u);
-    EXPECT_EQ(outs[3].replicaGroup, 1u);
-    EXPECT_EQ(outs[4].replicaGroup, 1u);
-    for (const auto& o : outs)
-        EXPECT_TRUE(o.ok()) << o.error;
-    // The hooked replica of the same point agrees with the grouped one.
-    EXPECT_EQ(outs[0].result, outs[4].result);
-}
-
-TEST(Lockstep, DegroupsFailedReplicaAndPreservesTaxonomy)
-{
-    sim::SweepEngine engine(1);
-    engine.setLockstep(true);
-    engine.add(smallPoint(sim::Design::B2, "leela"));
-
-    // A replica whose Simulator construction fails (structural config
-    // violation) degroups with errorClass "config"...
-    sim::SweepPoint badCfg = smallPoint(sim::Design::Tourney, "leela");
-    badCfg.label = "badcfg";
-    badCfg.cfg.deadlockCycles = 0;
-    engine.add(std::move(badCfg));
-
-    // ...and one whose topology factory throws degroups as
-    // "internal"; the survivors of the group still complete.
-    sim::SweepPoint boom = smallPoint(sim::Design::TageL, "leela");
-    boom.label = "boom";
-    boom.topology = []() -> bpu::Topology {
-        throw std::runtime_error("synthetic topology failure");
-    };
-    engine.add(std::move(boom));
-    engine.add(smallPoint(sim::Design::TageL, "leela"));
-
-    const auto outs = engine.run();
-    ASSERT_EQ(outs.size(), 4u);
-    EXPECT_TRUE(outs[0].ok()) << outs[0].error;
-    EXPECT_EQ(outs[0].replicaGroup, 4u);
-    EXPECT_EQ(outs[1].errorClass, "config");
-    EXPECT_EQ(outs[2].errorClass, "internal");
-    EXPECT_TRUE(outs[3].ok()) << outs[3].error;
-
-    // The survivors' results match a clean solo run.
-    sim::SweepEngine solo(1);
-    solo.setLockstep(false);
-    solo.add(smallPoint(sim::Design::B2, "leela"));
-    solo.add(smallPoint(sim::Design::TageL, "leela"));
-    const auto ref = solo.run();
-    EXPECT_EQ(outs[0].result, ref[0].result);
-    EXPECT_EQ(outs[3].result, ref[1].result);
-}
-
-TEST(Lockstep, JsonCarriesLoopAndReplicaGroup)
-{
-    sim::SweepEngine engine(1);
-    engine.setLockstep(true);
-    engine.add(smallPoint(sim::Design::B2, "leela"));
-    engine.add(smallPoint(sim::Design::TageL, "leela"));
-    const auto outs = engine.run();
-    ASSERT_TRUE(outs[0].ok());
-    EXPECT_EQ(outs[0].loop, "specialized");
-
-    const std::string path =
-        ::testing::TempDir() + "/cobra_lockstep_test.json";
-    sim::writeSweepJson(path, "unit", outs, engine.jobs());
-    std::ifstream f(path);
-    ASSERT_TRUE(f.good());
-    std::stringstream ss;
-    ss << f.rdbuf();
-    const std::string doc = ss.str();
-    EXPECT_NE(doc.find("\"loop\": \"specialized\""), std::string::npos);
-    EXPECT_NE(doc.find("\"replica_group\": 2"), std::string::npos);
 }
