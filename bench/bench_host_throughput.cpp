@@ -51,18 +51,21 @@ constexpr Point kPoints[] = {
 constexpr std::uint64_t kWarmup = 10'000;
 constexpr std::uint64_t kMeasure = 150'000;
 
-/** Pull "kilocycles_per_sec" for @p label out of the baseline JSON. */
+/** "kilocycles_per_sec" of @p label in the baseline JSON, or 0. */
 double
 baselineKcps(const std::string& doc, const std::string& label)
 {
-    const std::size_t at = doc.find("\"label\": \"" + label + "\"");
-    if (at == std::string::npos)
-        return 0.0;
-    const std::string key = "\"kilocycles_per_sec\": ";
-    const std::size_t k = doc.find(key, at);
-    if (k == std::string::npos)
-        return 0.0;
-    return std::strtod(doc.c_str() + k + key.size(), nullptr);
+    try {
+        const Json base = Json::parse(doc);
+        const Json* points = base.find("points");
+        if (points == nullptr)
+            return 0.0;
+        for (const Json& p : points->asArray())
+            if (p.getString("label", "") == label)
+                return p.getDouble("kilocycles_per_sec", 0.0);
+    } catch (const JsonError&) {
+    }
+    return 0.0;
 }
 
 sim::SweepPoint
@@ -120,7 +123,7 @@ main()
 
     double logSum = 0.0;
     unsigned compared = 0;
-    std::ostringstream pointsJson;
+    JsonWriter pointsJson(2);
     for (std::size_t pi = 0; pi < std::size(kPoints); ++pi) {
         double best = 0.0;
         for (unsigned r = 0; r < reps; ++r) {
@@ -142,14 +145,11 @@ main()
         t.addRow({label, formatDouble(best, 1),
                   base > 0.0 ? formatDouble(base, 1) : "n/a",
                   base > 0.0 ? formatDouble(speedup, 2) + "x" : "n/a"});
-        if (pi != 0)
-            pointsJson << ",\n";
-        pointsJson << "    { \"label\": \"" << sim::jsonEscape(label)
-                   << "\", \"loop\": \""
-                   << sim::jsonEscape(loop.empty() ? "generic" : loop)
-                   << "\", \"kilocycles_per_sec\": " << best
-                   << ", \"baseline_kilocycles_per_sec\": " << base
-                   << ", \"speedup\": " << speedup << " }";
+        pointsJson.object(JsonWriter::Inline).field("label", label);
+        pointsJson.field("loop", loop.empty() ? "generic" : loop);
+        pointsJson.field("kilocycles_per_sec", best);
+        pointsJson.field("baseline_kilocycles_per_sec", base);
+        pointsJson.field("speedup", speedup).end();
     }
     t.print(std::cout);
     std::cout << "\n";
@@ -213,19 +213,16 @@ main()
     // ---- JSON report ---------------------------------------------------
     try {
         std::filesystem::create_directories("bench_results");
-        std::ofstream j("bench_results/bench_host_throughput.json");
-        j << "{\n  \"bench\": \"host_throughput\",\n"
-          << "  \"shape_ok\": " << (ok ? "true" : "false") << ",\n"
-          << "  \"reps\": " << reps << ",\n"
-          << "  \"warmup_insts\": " << kWarmup << ",\n"
-          << "  \"measure_insts\": " << kMeasure << ",\n"
-          << "  \"geomean_speedup\": " << geomean << ",\n"
-          << "  \"hardware_threads\": " << hw << ",\n"
-          << "  \"sweep_serial_seconds\": " << serialWall << ",\n"
-          << "  \"sweep_jobs4_seconds\": " << parWall << ",\n"
-          << "  \"sweep_scaling\": " << scaling << ",\n"
-          << "  \"points\": [\n"
-          << pointsJson.str() << "\n  ]\n}\n";
+        JsonWriter w;
+        w.object().field("bench", "host_throughput").field("shape_ok", ok);
+        w.field("reps", reps).field("warmup_insts", kWarmup);
+        w.field("measure_insts", kMeasure);
+        w.field("geomean_speedup", geomean).field("hardware_threads", hw);
+        w.field("sweep_serial_seconds", serialWall);
+        w.field("sweep_jobs4_seconds", parWall);
+        w.field("sweep_scaling", scaling).key("points").array();
+        w.splice(pointsJson.str()).end().end();
+        writeJsonFile("bench_results/bench_host_throughput.json", w);
     } catch (const std::exception& e) {
         std::cerr << "[bench] JSON emit failed: " << e.what() << "\n";
     }

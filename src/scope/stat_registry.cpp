@@ -75,60 +75,50 @@ struct Tree
 };
 
 void
-writeGroupBody(std::ostream& os, const StatGroup& g,
-               const std::string& pad, bool more_after)
+writeGroupBody(JsonWriter& w, const StatGroup& g)
 {
     std::vector<const StatGroup::Entry*> counters, histograms;
     for (const StatGroup::Entry& e : g.entries())
         (e.counter != nullptr ? counters : histograms).push_back(&e);
 
-    os << pad << "\"counters\": {";
-    for (std::size_t i = 0; i < counters.size(); ++i) {
-        os << (i == 0 ? "\n" : ",\n") << pad << "  \""
-           << jsonEscape(counters[i]->name)
-           << "\": " << counters[i]->counter->value();
+    // An empty counter set renders as "{}".
+    w.key("counters").object(counters.empty() ? JsonWriter::Inline
+                                              : JsonWriter::Block);
+    for (const StatGroup::Entry* e : counters)
+        w.field(e->name, e->counter->value());
+    w.end();
+    if (histograms.empty())
+        return;
+    w.key("histograms").object();
+    for (const StatGroup::Entry* e : histograms) {
+        const Histogram& h = *e->histogram;
+        w.key(e->name).object(JsonWriter::Inline);
+        w.field("samples", h.samples()).field("mean", h.mean());
+        w.key("buckets").array(JsonWriter::Inline);
+        for (std::size_t b = 0; b < h.numBuckets(); ++b)
+            w.value(h.bucket(b));
+        w.end().end();
     }
-    os << (counters.empty() ? "}" : "\n" + pad + "}");
-
-    if (!histograms.empty()) {
-        os << ",\n" << pad << "\"histograms\": {";
-        for (std::size_t i = 0; i < histograms.size(); ++i) {
-            const Histogram& h = *histograms[i]->histogram;
-            os << (i == 0 ? "\n" : ",\n") << pad << "  \""
-               << jsonEscape(histograms[i]->name) << "\": {\"samples\": "
-               << h.samples() << ", \"mean\": " << h.mean()
-               << ", \"buckets\": [";
-            for (std::size_t b = 0; b < h.numBuckets(); ++b)
-                os << (b == 0 ? "" : ", ") << h.bucket(b);
-            os << "]}";
-        }
-        os << "\n" << pad << "}";
-    }
-    if (more_after)
-        os << ",";
-    os << "\n";
+    w.end();
 }
 
+/** The members of @p t's object: its group's stats, then its kids. */
 void
-writeTree(std::ostream& os, const Tree& t, unsigned indent)
+writeTree(JsonWriter& w, const Tree& t)
 {
-    const std::string pad(indent + 2, ' ');
-    os << "{\n";
-    const bool hasKids = !t.kids.empty();
     if (t.group != nullptr)
-        writeGroupBody(os, *t.group, pad, hasKids);
-    for (std::size_t i = 0; i < t.kids.size(); ++i) {
-        os << pad << "\"" << jsonEscape(t.kids[i].seg) << "\": ";
-        writeTree(os, t.kids[i], indent + 2);
-        os << (i + 1 < t.kids.size() ? ",\n" : "\n");
+        writeGroupBody(w, *t.group);
+    for (const Tree& k : t.kids) {
+        w.key(k.seg).object();
+        writeTree(w, k);
+        w.end();
     }
-    os << std::string(indent, ' ') << "}";
 }
 
 } // namespace
 
 void
-StatRegistry::writeJson(std::ostream& os, unsigned indent) const
+StatRegistry::writeJson(JsonWriter& w) const
 {
     Tree root;
     for (const Node& n : nodes_) {
@@ -144,7 +134,7 @@ StatRegistry::writeJson(std::ostream& os, unsigned indent) const
         }
         cur->group = n.group;
     }
-    writeTree(os, root, indent);
+    writeTree(w, root);
 }
 
 } // namespace cobra::scope

@@ -22,6 +22,10 @@
 
 #include "common/stats.hpp"
 
+namespace cobra {
+class JsonWriter;
+}
+
 namespace cobra::scope {
 
 class StatRegistry
@@ -57,14 +61,14 @@ class StatRegistry
     void dump(std::ostream& os) const;
 
     /**
-     * Render the full hierarchy as one JSON object: dotted paths
-     * become nested objects, each leaf group an object with
+     * Render the full hierarchy into the object @p w has open: dotted
+     * paths become nested objects, each leaf group an object with
      * "counters" (name -> value) and, when present, "histograms"
-     * (name -> {samples, mean, buckets}). @p indent is the left
-     * margin of the emitted block (the opening '{' is not indented,
-     * matching splice-into-a-parent-document usage).
+     * (name -> {samples, mean, buckets}). The caller opens and closes
+     * the enclosing object, so other members can sit beside the
+     * groups (the warp point's synthetic "warp" group does).
      */
-    void writeJson(std::ostream& os, unsigned indent = 0) const;
+    void writeJson(JsonWriter& w) const;
 
   private:
     std::vector<Node> nodes_;

@@ -1,6 +1,6 @@
 #include "scope/tracer.hpp"
 
-#include <ostream>
+#include <cstdio>
 
 #include "common/json.hpp"
 
@@ -29,57 +29,35 @@ Tracer::componentName(std::uint8_t idx) const
     return compNames_[idx];
 }
 
-namespace {
-
 void
-writeHexPc(std::ostream& os, Addr pc)
-{
-    // Manual hex render keeps the stream's format flags untouched.
-    char buf[19];
-    char* p = buf + sizeof(buf);
-    *--p = '\0';
-    do {
-        const unsigned d = pc & 0xF;
-        *--p = static_cast<char>(d < 10 ? '0' + d : 'a' + (d - 10));
-        pc >>= 4;
-    } while (pc != 0);
-    *--p = 'x';
-    *--p = '0';
-    os << p;
-}
-
-} // namespace
-
-void
-Tracer::writeChromeTrace(std::ostream& os, unsigned pid,
+Tracer::writeChromeTrace(JsonWriter& w, unsigned pid,
                          const std::string& label) const
 {
-    const std::string pidStr = std::to_string(pid);
-    // Process metadata: one sweep point = one trace "process".
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-       << pidStr << ", \"tid\": 0, \"args\": {\"name\": \""
-       << jsonEscape(label) << "\"}},\n";
-    // One "thread" per event kind so the kinds render as lanes.
-    for (std::size_t k = 0; k < kNumTraceKinds; ++k) {
-        os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
-           << pidStr << ", \"tid\": " << k
-           << ", \"args\": {\"name\": \""
-           << traceKindName(static_cast<TraceKind>(k)) << "\"}},\n";
-    }
+    constexpr auto kInline = JsonWriter::Inline;
+    auto meta = [&](const char* what, std::size_t tid,
+                    const std::string& name) {
+        w.object(kInline).field("name", what).field("ph", "M");
+        w.field("pid", pid).field("tid", tid);
+        w.key("args").object(kInline).field("name", name).end().end();
+    };
+    // Process metadata: one sweep point = one trace "process", with
+    // one "thread" per event kind so the kinds render as lanes.
+    meta("process_name", 0, label);
+    for (std::size_t k = 0; k < kNumTraceKinds; ++k)
+        meta("thread_name", k, traceKindName(static_cast<TraceKind>(k)));
     for (const TraceRecord& r : records_) {
-        const auto kind = static_cast<std::size_t>(r.kind);
-        os << "{\"name\": \"" << traceKindName(r.kind)
-           << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": " << r.cycle
-           << ", \"pid\": " << pidStr << ", \"tid\": " << kind
-           << ", \"args\": {\"pc\": \"";
-        writeHexPc(os, r.pc);
-        os << "\", \"ftq\": " << r.ftq;
+        char pc[24];
+        std::snprintf(pc, sizeof pc, "0x%llx",
+                      static_cast<unsigned long long>(r.pc));
+        w.object(kInline).field("name", traceKindName(r.kind));
+        w.field("ph", "i").field("s", "t").field("ts", r.cycle);
+        w.field("pid", pid).field("tid", static_cast<std::size_t>(r.kind));
+        w.key("args").object(kInline).field("pc", pc).field("ftq", r.ftq);
         if (r.comp != kNoComponent) {
-            os << ", \"comp\": \"" << jsonEscape(componentName(r.comp))
-               << "\", \"slot\": " << unsigned(r.slot);
+            w.field("comp", componentName(r.comp));
+            w.field("slot", unsigned(r.slot));
         }
-        os << ", \"flag\": " << (r.flag ? "true" : "false")
-           << "}},\n";
+        w.field("flag", r.flag).end().end();
     }
 }
 

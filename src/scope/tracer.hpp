@@ -20,11 +20,14 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+
+namespace cobra {
+class JsonWriter;
+}
 
 namespace cobra::scope {
 
@@ -122,13 +125,12 @@ class Tracer
     const std::string& componentName(std::uint8_t idx) const;
 
     /**
-     * Render this point's records as Chrome trace-event lines: one
-     * JSON object per line, each terminated by ",\n" (the caller owns
-     * the enclosing '[' / ']'). @p pid labels the sweep point so a
-     * multi-point sweep renders as one process per point; metadata
-     * events naming the process/threads are emitted first.
+     * Append this point's records to the array @p w has open, as
+     * Chrome trace events (one inline object each). @p pid labels the
+     * sweep point so a multi-point sweep renders as one process per
+     * point; metadata events naming the process/threads come first.
      */
-    void writeChromeTrace(std::ostream& os, unsigned pid,
+    void writeChromeTrace(JsonWriter& w, unsigned pid,
                           const std::string& label) const;
 
   private:

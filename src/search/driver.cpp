@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <sstream>
 
 #include "bpu/composer.hpp"
 #include "common/json.hpp"
+#include "common/table.hpp"
 #include "guard/errors.hpp"
 #include "search/space.hpp"
 #include "search/surrogate.hpp"
@@ -79,32 +79,6 @@ rankBy(const std::vector<Candidate>& cands,
                   return cands[a].id < cands[b].id;
               });
     return order;
-}
-
-// ---- JSON helpers -----------------------------------------------------
-
-std::string
-num(double v, int digits = 6)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.*f", digits, v);
-    return buf;
-}
-
-/** Re-indent a pretty-printed JSON document for inline embedding. */
-std::string
-indentDoc(const std::string& doc, const std::string& pad)
-{
-    std::string out;
-    out.reserve(doc.size() + 256);
-    for (char ch : doc) {
-        out.push_back(ch);
-        if (ch == '\n')
-            out += pad;
-    }
-    return out;
 }
 
 } // namespace
@@ -414,7 +388,7 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
             c.hasSurrogate = true;
             c.tier = "surrogate";
         }
-        note(cfg, "surrogate: rmse " + num(r.surrogateRmse, 4));
+        note(cfg, "surrogate: rmse " + formatDouble(r.surrogateRmse, 4));
     }
 
     // ---- Tier 1: functional evals of the surrogate survivors ---------
@@ -568,120 +542,113 @@ runSearch(const SearchConfig& cfg, prog::WorkloadCache& cache)
     return r;
 }
 
-std::string
-frontierJson(const SearchResult& r)
+void
+writeFrontier(JsonWriter& w, const SearchResult& r)
 {
-    std::ostringstream os;
+    constexpr auto kInline = JsonWriter::Inline;
     const auto& cfg = r.cfg;
-    os << "{\n";
-    os << "  \"tool\": \"cobra_search\",\n";
-    os << "  \"version\": 1,\n";
-    os << "  \"seed\": " << cfg.seed << ",\n";
-    os << "  \"budget\": {\"storage_kb\": " << cfg.budget.storageKb
-       << ", \"area_um2\": " << num(cfg.budget.areaUm2, 1) << "},\n";
-    os << "  \"workloads\": [";
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i)
-        os << (i ? ", " : "") << '"' << jsonEscape(cfg.workloads[i])
-           << '"';
-    os << "],\n";
-    os << "  \"tiers\": {\"pool\": " << cfg.pool
-       << ", \"seed_evals\": " << cfg.seedEvals
-       << ", \"functional_survivors\": " << cfg.functionalSurvivors
-       << ", \"warp_survivors\": " << cfg.warpSurvivors
-       << ", \"finalists\": " << cfg.finalists << "},\n";
-    os << "  \"trace\": {\"branches\": " << cfg.traceBranches
-       << ", \"warmup\": " << cfg.traceWarmup << "},\n";
-    os << "  \"warp\": {\"insts\": " << cfg.warpInsts
-       << ", \"intervals\": " << cfg.warpIntervals
-       << ", \"sample_insts\": " << cfg.warpSampleInsts << "},\n";
-    os << "  \"detail\": {\"insts\": " << cfg.detailInsts
-       << ", \"warmup\": " << cfg.detailWarmup << "},\n";
-    os << "  \"evals\": {\"pool\": " << r.candidates.size()
-       << ", \"functional\": " << r.functionalEvals
-       << ", \"warp\": " << r.warpEvals
-       << ", \"detailed\": " << r.detailedEvals
-       << ", \"saved_by_surrogate\": " << r.evalsSaved
-       << ", \"anchors_dropped\": " << r.anchorsDropped << "},\n";
-    os << "  \"surrogate\": {\"used\": "
-       << (r.surrogateUsed ? "true" : "false")
-       << ", \"lambda\": " << num(cfg.ridgeLambda, 3)
-       << ", \"train_rmse\": " << num(r.surrogateRmse)
-       << ", \"features\": [";
-    {
-        const auto names = pairFeatureNames();
-        for (std::size_t i = 0; i < names.size(); ++i)
-            os << (i ? ", " : "") << '"' << jsonEscape(names[i])
-               << '"';
-    }
-    os << "]},\n";
+    auto kb = [](std::uint64_t bits) {
+        return static_cast<double>(bits) / kBitsPerKb;
+    };
+    w.object().field("tool", "cobra_search").field("version", 1);
+    w.field("seed", cfg.seed).key("budget").object(kInline);
+    w.field("storage_kb", cfg.budget.storageKb);
+    w.key("area_um2").fixed(cfg.budget.areaUm2, 1).end();
+    w.key("workloads").array(kInline);
+    for (const auto& wl : cfg.workloads)
+        w.value(wl);
+    w.end().key("tiers").object(kInline).field("pool", cfg.pool);
+    w.field("seed_evals", cfg.seedEvals);
+    w.field("functional_survivors", cfg.functionalSurvivors);
+    w.field("warp_survivors", cfg.warpSurvivors);
+    w.field("finalists", cfg.finalists).end();
+    w.key("trace").object(kInline).field("branches", cfg.traceBranches);
+    w.field("warmup", cfg.traceWarmup).end();
+    w.key("warp").object(kInline).field("insts", cfg.warpInsts);
+    w.field("intervals", cfg.warpIntervals);
+    w.field("sample_insts", cfg.warpSampleInsts).end();
+    w.key("detail").object(kInline).field("insts", cfg.detailInsts);
+    w.field("warmup", cfg.detailWarmup).end();
+    w.key("evals").object(kInline).field("pool", r.candidates.size());
+    w.field("functional", r.functionalEvals).field("warp", r.warpEvals);
+    w.field("detailed", r.detailedEvals);
+    w.field("saved_by_surrogate", r.evalsSaved);
+    w.field("anchors_dropped", r.anchorsDropped).end();
+    w.key("surrogate").object(kInline).field("used", r.surrogateUsed);
+    w.key("lambda").fixed(cfg.ridgeLambda, 3);
+    w.key("train_rmse").fixed(r.surrogateRmse, 6);
+    w.key("features").array(kInline);
+    for (const auto& name : pairFeatureNames())
+        w.value(name);
+    w.end().end();
 
-    os << "  \"workload_features\": [\n";
-    for (std::size_t i = 0; i < r.features.size(); ++i) {
-        const auto& f = r.features[i];
-        os << "    {\"workload\": \"" << jsonEscape(f.workload)
-           << "\", \"branches\": " << f.branches
-           << ", \"static_branches\": " << f.staticBranches;
+    w.key("workload_features").array();
+    for (const auto& f : r.features) {
+        w.object(kInline).field("workload", f.workload);
+        w.field("branches", f.branches);
+        w.field("static_branches", f.staticBranches);
         const auto names = WorkloadFeatures::names();
         const auto vals = f.vec();
         for (std::size_t k = 0; k < names.size(); ++k)
-            os << ", \"" << names[k] << "\": " << num(vals[k]);
-        os << '}' << (i + 1 < r.features.size() ? "," : "") << '\n';
+            w.key(names[k]).fixed(vals[k], 6);
+        w.end();
     }
-    os << "  ],\n";
+    w.end();
 
-    os << "  \"candidates\": [\n";
-    for (std::size_t i = 0; i < r.candidates.size(); ++i) {
-        const auto& c = r.candidates[i];
-        os << "    {\"id\": \"" << jsonEscape(c.id) << "\", \"name\": \""
-           << jsonEscape(c.spec.name) << "\", \"anchor\": "
-           << (c.anchor ? "true" : "false") << ", \"tier\": \""
-           << c.tier << "\", \"storage_bits\": " << c.storageBits
-           << ", \"storage_kb\": "
-           << num(static_cast<double>(c.storageBits) / kBitsPerKb, 2)
-           << ", \"area_um2\": " << num(c.areaUm2, 1)
-           << ", \"latency\": " << c.latency;
+    w.key("candidates").array();
+    for (const auto& c : r.candidates) {
+        w.object(kInline).field("id", c.id).field("name", c.spec.name);
+        w.field("anchor", c.anchor).field("tier", c.tier);
+        w.field("storage_bits", c.storageBits);
+        w.key("storage_kb").fixed(kb(c.storageBits), 2);
+        w.key("area_um2").fixed(c.areaUm2, 1).field("latency", c.latency);
         if (c.hasSurrogate)
-            os << ", \"surrogate_score\": " << num(c.surrogateScore);
+            w.key("surrogate_score").fixed(c.surrogateScore, 6);
         if (c.hasFunctional)
-            os << ", \"functional_accuracy\": "
-               << num(c.functionalAccuracy);
-        if (c.hasWarp)
-            os << ", \"warp\": {\"ipc\": " << num(c.warp.ipc)
-               << ", \"mpki\": " << num(c.warp.mpki)
-               << ", \"ipc_ci95\": " << num(c.warp.ipcCi95)
-               << ", \"mpki_ci95\": " << num(c.warp.mpkiCi95) << '}';
-        if (c.hasDetail)
-            os << ", \"detailed\": {\"ipc\": " << num(c.detail.ipc)
-               << ", \"mpki\": " << num(c.detail.mpki)
-               << ", \"accuracy\": " << num(c.detail.accuracy)
-               << ", \"cycles\": " << c.detail.cycles
-               << ", \"insts\": " << c.detail.insts << '}';
+            w.key("functional_accuracy").fixed(c.functionalAccuracy, 6);
+        if (c.hasWarp) {
+            w.key("warp").object(kInline).key("ipc").fixed(c.warp.ipc, 6);
+            w.key("mpki").fixed(c.warp.mpki, 6);
+            w.key("ipc_ci95").fixed(c.warp.ipcCi95, 6);
+            w.key("mpki_ci95").fixed(c.warp.mpkiCi95, 6).end();
+        }
+        if (c.hasDetail) {
+            w.key("detailed").object(kInline);
+            w.key("ipc").fixed(c.detail.ipc, 6);
+            w.key("mpki").fixed(c.detail.mpki, 6);
+            w.key("accuracy").fixed(c.detail.accuracy, 6);
+            w.field("cycles", c.detail.cycles);
+            w.field("insts", c.detail.insts).end();
+        }
         if (!c.certifyError.empty())
-            os << ", \"certify_error\": \""
-               << jsonEscape(c.certifyError) << '"';
-        os << ", \"on_frontier\": " << (c.onFrontier ? "true" : "false")
-           << '}' << (i + 1 < r.candidates.size() ? "," : "") << '\n';
+            w.field("certify_error", c.certifyError);
+        w.field("on_frontier", c.onFrontier).end();
     }
-    os << "  ],\n";
+    w.end();
 
-    os << "  \"frontier\": [\n";
-    for (std::size_t k = 0; k < r.frontier.size(); ++k) {
-        const auto& c = r.candidates[r.frontier[k]];
-        os << "    {\"id\": \"" << jsonEscape(c.id)
-           << "\", \"accuracy\": " << num(c.detail.accuracy)
-           << ", \"mpki\": " << num(c.detail.mpki)
-           << ", \"ipc\": " << num(c.detail.ipc)
-           << ", \"area_um2\": " << num(c.areaUm2, 1)
-           << ", \"storage_kb\": "
-           << num(static_cast<double>(c.storageBits) / kBitsPerKb, 2)
-           << ", \"latency\": " << c.latency << ",\n"
-           << "     \"spec\": "
-           << indentDoc(c.spec.toJson(), "     ") << '}'
-           << (k + 1 < r.frontier.size() ? "," : "") << '\n';
+    // Each finalist's spec follows its scores on the next line.
+    w.key("frontier").array();
+    for (std::size_t i : r.frontier) {
+        const auto& c = r.candidates[i];
+        w.object(kInline).field("id", c.id);
+        w.key("accuracy").fixed(c.detail.accuracy, 6);
+        w.key("mpki").fixed(c.detail.mpki, 6);
+        w.key("ipc").fixed(c.detail.ipc, 6);
+        w.key("area_um2").fixed(c.areaUm2, 1);
+        w.key("storage_kb").fixed(kb(c.storageBits), 2);
+        w.field("latency", c.latency).wrap().key("spec");
+        c.spec.writeJson(w);
+        w.wrap().end();
     }
-    os << "  ]\n";
-    os << "}\n";
-    return os.str();
+    w.end().end();
+}
+
+std::string
+frontierJson(const SearchResult& r)
+{
+    JsonWriter w;
+    writeFrontier(w, r);
+    return w.str() + "\n";
 }
 
 } // namespace cobra::search

@@ -185,6 +185,10 @@ SearchResult runSearch(const SearchConfig& cfg,
  */
 std::string frontierJson(const SearchResult& r);
 
+/** frontierJson's document as a value in @p w (cobra_serve embeds it
+ *  in a search request's result). */
+void writeFrontier(JsonWriter& w, const SearchResult& r);
+
 } // namespace cobra::search
 
 #endif // COBRA_SEARCH_DRIVER_HPP

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "search/driver.hpp"
 #include "sim/presets.hpp"
@@ -29,15 +28,21 @@ fnv1a(const std::string& s)
     return h;
 }
 
+/**
+ * One result-document point entry (a JsonWriter fragment at depth 2,
+ * the form the journal records): label, status and attempts, then
+ * what @p body adds.
+ */
 std::string
-fragmentHead(const std::string& label, const std::string& status,
-             unsigned attempts)
+pointEntry(const std::string& label, const std::string& status,
+           unsigned attempts, const sim::JsonMembers& body = {})
 {
-    std::ostringstream os;
-    os << "    {\n      \"label\": \"" << jsonEscape(label) << "\",\n"
-       << "      \"status\": \"" << status << "\",\n"
-       << "      \"attempts\": " << attempts;
-    return os.str();
+    JsonWriter w(2);
+    w.object().field("label", label).field("status", status);
+    w.field("attempts", attempts);
+    if (body)
+        body(w);
+    return w.end().str();
 }
 
 std::string
@@ -45,74 +50,43 @@ okFragment(const std::string& label, unsigned attempts,
            const sim::SimResult& r, double wall_seconds,
            const warp::WarpEstimate* est)
 {
-    std::ostringstream os;
-    os << fragmentHead(label, "ok", attempts) << ",\n";
-    sim::writeResultFields(os, r, "      ", /*trailing_comma=*/true);
-    if (est != nullptr) {
-        os << "      \"warp\": {\n"
-           << "        \"intervals\": " << est->intervals.size()
-           << ",\n"
-           << "        \"warm_hits\": " << est->warmHits << ",\n"
-           << "        \"ff_insts\": " << est->ffInsts << ",\n"
-           << "        \"ipc_ci95\": " << est->ipcCi95 << ",\n"
-           << "        \"mpki_ci95\": " << est->mpkiCi95 << "\n"
-           << "      },\n";
-    }
-    os << "      \"wall_seconds\": " << wall_seconds << "\n    }";
-    return os.str();
+    return pointEntry(label, "ok", attempts, [&](JsonWriter& w) {
+        sim::writeResultFields(w, r);
+        if (est != nullptr) {
+            w.key("warp").object();
+            w.field("intervals", est->intervals.size());
+            w.field("warm_hits", est->warmHits);
+            w.field("ff_insts", est->ffInsts);
+            w.field("ipc_ci95", est->ipcCi95);
+            w.field("mpki_ci95", est->mpkiCi95).end();
+        }
+        w.field("wall_seconds", wall_seconds);
+    });
 }
 
 std::string
 failedFragment(const PointRecord& rec)
 {
-    std::ostringstream os;
-    os << fragmentHead(rec.label, rec.status, rec.attempts) << ",\n"
-       << "      \"error_class\": \"" << jsonEscape(rec.errorClass)
-       << "\",\n"
-       << "      \"error\": \"" << jsonEscape(rec.error)
-       << "\"\n    }";
-    return os.str();
-}
-
-std::string
-stubFragment(const std::string& label, const std::string& status,
-             unsigned attempts)
-{
-    return fragmentHead(label, status, attempts) + "\n    }";
-}
-
-/** Re-indent a pretty-printed JSON document for inline embedding:
- *  every line but the first gets @p pad; the trailing newline goes. */
-std::string
-indentInline(const std::string& doc, const char* pad)
-{
-    std::string out;
-    out.reserve(doc.size());
-    for (std::size_t i = 0; i < doc.size(); ++i) {
-        out += doc[i];
-        if (doc[i] == '\n' && i + 1 < doc.size())
-            out += pad;
-    }
-    while (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
+    return pointEntry(rec.label, rec.status, rec.attempts,
+                      [&rec](JsonWriter& w) {
+                          w.field("error_class", rec.errorClass);
+                          w.field("error", rec.error);
+                      });
 }
 
 std::string
 searchFragment(const std::string& label, unsigned attempts,
                const search::SearchResult& r, double wall_seconds)
 {
-    std::ostringstream os;
-    os << fragmentHead(label, "ok", attempts) << ",\n"
-       << "      \"functional_evals\": " << r.functionalEvals << ",\n"
-       << "      \"warp_evals\": " << r.warpEvals << ",\n"
-       << "      \"detailed_evals\": " << r.detailedEvals << ",\n"
-       << "      \"evals_saved\": " << r.evalsSaved << ",\n"
-       << "      \"frontier_size\": " << r.frontier.size() << ",\n"
-       << "      \"search\": "
-       << indentInline(search::frontierJson(r), "      ") << ",\n"
-       << "      \"wall_seconds\": " << wall_seconds << "\n    }";
-    return os.str();
+    return pointEntry(label, "ok", attempts, [&](JsonWriter& w) {
+        w.field("functional_evals", r.functionalEvals);
+        w.field("warp_evals", r.warpEvals);
+        w.field("detailed_evals", r.detailedEvals);
+        w.field("evals_saved", r.evalsSaved);
+        w.field("frontier_size", r.frontier.size()).key("search");
+        search::writeFrontier(w, r);
+        w.field("wall_seconds", wall_seconds);
+    });
 }
 
 std::string
@@ -351,7 +325,7 @@ Daemon::admitOne(const std::string& fname)
         for (std::size_t i = 0; i < rs.points.size(); ++i) {
             if (!rs.points[i].final()) {
                 rs.points[i].status = "rejected";
-                rs.points[i].fragment = stubFragment(
+                rs.points[i].fragment = pointEntry(
                     rs.points[i].label, "rejected", 0);
             }
         }
@@ -410,7 +384,7 @@ Daemon::rejectIncoming(const std::string& fname, const std::string& id,
         points[i].label = specs[i].label;
         points[i].status = "rejected";
         points[i].fragment =
-            stubFragment(specs[i].label, "rejected", 0);
+            pointEntry(specs[i].label, "rejected", 0);
     }
     spool_.writeResult(id, renderResultDoc(id, "", 0, "rejected",
                                            reason, detail, points));
@@ -795,44 +769,33 @@ Daemon::renderResultDoc(const std::string& id, const std::string& client,
                         const std::string& detail,
                         const std::vector<PointRecord>& points) const
 {
-    std::ostringstream os;
-    os << "{\n  \"tool\": \"cobra_serve\",\n"
-       << "  \"id\": \"" << jsonEscape(id) << "\",\n"
-       << "  \"client\": \"" << jsonEscape(client) << "\",\n"
-       << "  \"priority\": " << priority << ",\n"
-       << "  \"status\": \"" << jsonEscape(status) << "\",\n";
+    JsonWriter w;
+    w.object().field("tool", "cobra_serve").field("id", id);
+    w.field("client", client).field("priority", priority);
+    w.field("status", status);
     if (!reason.empty())
-        os << "  \"reason\": \"" << jsonEscape(reason) << "\",\n";
+        w.field("reason", reason);
     if (!detail.empty())
-        os << "  \"detail\": \"" << jsonEscape(detail) << "\",\n";
-    os << "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const PointRecord& p = points[i];
-        if (!p.fragment.empty())
-            os << p.fragment;
-        else
-            os << stubFragment(p.label,
-                               p.final() ? p.status : "pending",
-                               p.attempts);
-        os << (i + 1 < points.size() ? ",\n" : "\n");
+        w.field("detail", detail);
+    w.key("points").array();
+    for (const PointRecord& p : points) {
+        w.splice(!p.fragment.empty()
+                     ? p.fragment
+                     : pointEntry(p.label, p.final() ? p.status : "pending",
+                                  p.attempts));
     }
-    os << "  ]\n}\n";
-    return os.str();
+    return w.end().end().str() + "\n";
 }
 
 void
 Daemon::writeStatusDoc(const std::string& state)
 {
-    std::ostringstream os;
-    os << "{\n  \"tool\": \"cobra_serve\",\n"
-       << "  \"state\": \"" << state << "\",\n"
-       << "  \"queued\": " << queue_.size() << ",\n"
-       << "  \"parked\": " << parked_.size() << ",\n"
-       << "  \"retired\": " << retired_ << ",\n"
-       << "  \"stats\": ";
-    registry_.writeJson(os, 2);
-    os << "\n}\n";
-    writeFileAtomic(spool_.statusPath(), os.str());
+    JsonWriter w;
+    w.object().field("tool", "cobra_serve").field("state", state);
+    w.field("queued", queue_.size()).field("parked", parked_.size());
+    w.field("retired", retired_).key("stats").object();
+    registry_.writeJson(w);
+    writeFileAtomic(spool_.statusPath(), w.end().end().str() + "\n");
 }
 
 void

@@ -1,7 +1,6 @@
 #include "serve/journal.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 
@@ -13,7 +12,6 @@
 #define COBRA_SERVE_HAVE_FSYNC 1
 #endif
 
-#include "common/json.hpp"
 
 namespace fs = std::filesystem;
 
@@ -83,12 +81,10 @@ std::string
 Journal::acceptLine(const std::string& req_id, const std::string& client,
                     int priority, std::size_t points)
 {
-    std::ostringstream os;
-    os << "{\"ev\": \"accept\", \"id\": \"" << jsonEscape(req_id)
-       << "\", \"client\": \"" << jsonEscape(client)
-       << "\", \"priority\": " << priority << ", \"points\": " << points
-       << "}";
-    return os.str();
+    JsonWriter w;
+    w.object(JsonWriter::Inline).field("ev", "accept").field("id", req_id);
+    w.field("client", client).field("priority", priority);
+    return w.field("points", points).end().str();
 }
 
 std::string
@@ -98,26 +94,23 @@ Journal::pointLine(const std::string& req_id, std::size_t idx,
                    const std::string& error, unsigned attempts,
                    const std::string& fragment)
 {
-    std::ostringstream os;
-    os << "{\"ev\": \"point\", \"id\": \"" << jsonEscape(req_id)
-       << "\", \"idx\": " << idx << ", \"status\": \""
-       << jsonEscape(status) << "\", \"error_class\": \""
-       << jsonEscape(error_class) << "\", \"error\": \""
-       << jsonEscape(error) << "\", \"attempts\": " << attempts
-       // The fragment (the point's rendered result-document entry) is
-       // itself JSON; it rides inside the record as an escaped string
-       // so the journal stays strictly line-oriented.
-       << ", \"fragment\": \"" << jsonEscape(fragment) << "\"}";
-    return os.str();
+    // The fragment (the point's rendered result-document entry) is
+    // itself JSON; it rides inside the record as an escaped string so
+    // the journal stays strictly line-oriented.
+    JsonWriter w;
+    w.object(JsonWriter::Inline).field("ev", "point").field("id", req_id);
+    w.field("idx", idx).field("status", status);
+    w.field("error_class", error_class).field("error", error);
+    w.field("attempts", attempts).field("fragment", fragment);
+    return w.end().str();
 }
 
 std::string
 Journal::doneLine(const std::string& req_id, const std::string& status)
 {
-    std::ostringstream os;
-    os << "{\"ev\": \"done\", \"id\": \"" << jsonEscape(req_id)
-       << "\", \"status\": \"" << jsonEscape(status) << "\"}";
-    return os.str();
+    JsonWriter w;
+    w.object(JsonWriter::Inline).field("ev", "done").field("id", req_id);
+    return w.field("status", status).end().str();
 }
 
 std::size_t

@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 namespace cobra::serve {
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <set>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
-#include "serve/json.hpp"
 
 namespace cobra::serve {
 
@@ -108,32 +108,30 @@ parseSearchBlock(const Json& doc)
         return cfg; // All-defaults search is valid.
     if (!s->isObject())
         throw RequestError("'search' must be an object");
-    cfg.seed = s->getU64("seed", cfg.seed);
-    cfg.pool =
-        static_cast<unsigned>(s->getU64("pool", cfg.pool));
+    // getUnsigned rejects values that do not fit the field's type
+    // instead of narrowing them.
+    cfg.seed = s->getUnsigned("seed", cfg.seed);
+    cfg.pool = s->getUnsigned("pool", cfg.pool);
     cfg.budget.storageKb =
-        s->getU64("budget_kb", cfg.budget.storageKb);
+        s->getUnsigned("budget_kb", cfg.budget.storageKb);
     cfg.budget.areaUm2 =
         s->getDouble("budget_um2", cfg.budget.areaUm2);
     cfg.anchors = s->getBool("anchors", cfg.anchors);
-    cfg.seedEvals = static_cast<unsigned>(
-        s->getU64("seed_evals", cfg.seedEvals));
-    cfg.functionalSurvivors = static_cast<unsigned>(
-        s->getU64("survivors", cfg.functionalSurvivors));
-    cfg.warpSurvivors = static_cast<unsigned>(
-        s->getU64("warp_survivors", cfg.warpSurvivors));
-    cfg.finalists = static_cast<unsigned>(
-        s->getU64("finalists", cfg.finalists));
+    cfg.seedEvals = s->getUnsigned("seed_evals", cfg.seedEvals);
+    cfg.functionalSurvivors =
+        s->getUnsigned("survivors", cfg.functionalSurvivors);
+    cfg.warpSurvivors =
+        s->getUnsigned("warp_survivors", cfg.warpSurvivors);
+    cfg.finalists = s->getUnsigned("finalists", cfg.finalists);
     cfg.traceBranches =
-        s->getU64("trace_branches", cfg.traceBranches);
-    cfg.traceWarmup = s->getU64("trace_warmup", cfg.traceWarmup);
-    cfg.warpInsts = s->getU64("warp_insts", cfg.warpInsts);
-    cfg.warpIntervals = static_cast<unsigned>(
-        s->getU64("intervals", cfg.warpIntervals));
+        s->getUnsigned("trace_branches", cfg.traceBranches);
+    cfg.traceWarmup = s->getUnsigned("trace_warmup", cfg.traceWarmup);
+    cfg.warpInsts = s->getUnsigned("warp_insts", cfg.warpInsts);
+    cfg.warpIntervals = s->getUnsigned("intervals", cfg.warpIntervals);
     cfg.warpSampleInsts =
-        s->getU64("sample_insts", cfg.warpSampleInsts);
-    cfg.detailInsts = s->getU64("insts", cfg.detailInsts);
-    cfg.detailWarmup = s->getU64("warmup", cfg.detailWarmup);
+        s->getUnsigned("sample_insts", cfg.warpSampleInsts);
+    cfg.detailInsts = s->getUnsigned("insts", cfg.detailInsts);
+    cfg.detailWarmup = s->getUnsigned("warmup", cfg.detailWarmup);
     cfg.ridgeLambda = s->getDouble("ridge_lambda", cfg.ridgeLambda);
     cfg.batchEval = s->getBool("batch_eval", cfg.batchEval);
     return cfg;
@@ -158,7 +156,7 @@ SweepRequest::parse(const std::string& text,
     try {
         r.id = doc.getString("id", fallback_id);
         r.client = doc.getString("client", "");
-        r.priority = static_cast<int>(doc.getU64("priority", 1));
+        r.priority = doc.getUnsigned("priority", r.priority);
         r.kind = doc.getString("kind", "sweep");
         if (r.kind != "sweep" && r.kind != "search")
             throw RequestError("'kind' must be sweep | search, got '" +
@@ -173,16 +171,16 @@ SweepRequest::parse(const std::string& text,
         r.workloads = stringList(doc, "workloads");
 
         r.tracePath = doc.getString("trace", "");
-        r.insts = doc.getU64("insts", r.insts);
-        r.warmup = doc.getU64("warmup", r.warmup);
+        r.insts = doc.getUnsigned("insts", r.insts);
+        r.warmup = doc.getUnsigned("warmup", r.warmup);
         r.ghist = ghistFromName(doc.getString("ghist", "replay"));
         r.sfb = doc.getBool("sfb", false);
         r.serialize = doc.getBool("serialize", false);
         r.audit = doc.getBool("audit", false);
         r.faultRate = doc.getDouble("fault_rate", 0.0);
-        r.faultSeed = doc.getU64("fault_seed", r.faultSeed);
+        r.faultSeed = doc.getUnsigned("fault_seed", r.faultSeed);
         r.deadlockCycles =
-            doc.getU64("deadlock_cycles", r.deadlockCycles);
+            doc.getUnsigned("deadlock_cycles", r.deadlockCycles);
         {
             const std::string sp =
                 doc.getString("specialize", "auto");
@@ -197,19 +195,19 @@ SweepRequest::parse(const std::string& text,
                                    "| require, got '" +
                                    sp + "'");
         }
-        r.pointTimeoutMs = doc.getU64("point_timeout_ms", 0);
-        r.maxRetries =
-            static_cast<unsigned>(doc.getU64("max_retries", 2));
+        r.pointTimeoutMs =
+            doc.getUnsigned("point_timeout_ms", r.pointTimeoutMs);
+        r.maxRetries = doc.getUnsigned("max_retries", r.maxRetries);
 
         if (const Json* w = doc.find("warp")) {
             if (!w->isObject())
                 throw RequestError("'warp' must be an object");
             r.warp = true;
-            r.intervals = static_cast<unsigned>(
-                w->getU64("intervals", r.intervals));
+            r.intervals = w->getUnsigned("intervals", r.intervals);
             r.warmupCycles =
-                w->getU64("warmup_cycles", r.warmupCycles);
-            r.sampleInsts = w->getU64("sample_insts", r.sampleInsts);
+                w->getUnsigned("warmup_cycles", r.warmupCycles);
+            r.sampleInsts =
+                w->getUnsigned("sample_insts", r.sampleInsts);
         }
         if (r.kind == "search") {
             r.searchCfg = parseSearchBlock(doc);

@@ -1,7 +1,6 @@
 #include "sim/design_spec.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/bitutil.hpp"
 #include "common/json.hpp"
@@ -14,7 +13,6 @@
 #include "guard/contract_auditor.hpp"
 #include "guard/errors.hpp"
 #include "guard/fault_injector.hpp"
-#include "serve/json.hpp"
 
 namespace cobra::sim {
 
@@ -704,150 +702,92 @@ specMaxLatency(const DesignSpec& spec)
 namespace {
 
 void
-emitTree(std::ostringstream& os, const TreeSpec& t)
+writeTree(JsonWriter& w, const TreeSpec& t)
 {
-    switch (t.kind) {
-      case TreeSpec::Kind::Leaf:
-        os << '"' << jsonEscape(t.component) << '"';
-        break;
-      case TreeSpec::Kind::Chain: {
-        os << "{\"chain\": [";
-        bool first = true;
-        for (const TreeSpec& c : t.children) {
-            if (!first)
-                os << ", ";
-            first = false;
-            emitTree(os, c);
-        }
-        os << "]}";
-        break;
-      }
-      case TreeSpec::Kind::Arb: {
-        os << "{\"arb\": \"" << jsonEscape(t.component)
-           << "\", \"children\": [";
-        bool first = true;
-        for (const TreeSpec& c : t.children) {
-            if (!first)
-                os << ", ";
-            first = false;
-            emitTree(os, c);
-        }
-        os << "]}";
-        break;
-      }
+    if (t.kind == TreeSpec::Kind::Leaf) {
+        w.value(t.component);
+        return;
     }
+    w.object(JsonWriter::Inline);
+    if (t.kind == TreeSpec::Kind::Chain)
+        w.key("chain");
+    else
+        w.field("arb", t.component).key("children");
+    w.array(JsonWriter::Inline);
+    for (const TreeSpec& c : t.children)
+        writeTree(w, c);
+    w.end().end();
 }
 
 } // namespace
 
+void
+DesignSpec::writeJson(JsonWriter& w) const
+{
+    // Components, tables and the core block wrap by hand-picked
+    // groups so the canonical text stays readable.
+    constexpr auto kInline = JsonWriter::Inline;
+    w.object().field("name", name).field("description", description);
+    w.field("notation", notation).field("fetch_width", fetchWidth);
+    w.key("components").array();
+    for (const ComponentSpec& c : components) {
+        w.object(kInline).field("id", c.id).field("kind", c.kind);
+        if (!c.mode.empty())
+            w.field("mode", c.mode);
+        if (!c.knobs.empty()) {
+            w.key("knobs").object(kInline);
+            for (const auto& [k, v] : c.knobs)
+                w.field(k, v);
+            w.end();
+        }
+        if (!c.tables.empty()) {
+            w.wrap().key("tables").array(kInline);
+            for (const TageTableSpec& t : c.tables) {
+                w.wrap().object(kInline).field("sets", t.sets);
+                w.field("hist_len", t.histLen);
+                w.field("tag_bits", t.tagBits).end();
+            }
+            w.end();
+        }
+        w.end();
+    }
+    w.end().key("tree");
+    writeTree(w, tree);
+    const CoreSpec& k = core;
+    w.key("core").object(kInline);
+    w.field("fetch_buffer_insts", k.fetchBufferInsts);
+    w.field("ras_entries", k.rasEntries).field("core_width", k.coreWidth);
+    w.field("rob_entries", k.robEntries).wrap();
+    w.field("int_iq_entries", k.intIqEntries);
+    w.field("mem_iq_entries", k.memIqEntries);
+    w.field("fp_iq_entries", k.fpIqEntries).wrap();
+    w.field("ldq_entries", k.ldqEntries).field("stq_entries", k.stqEntries);
+    w.field("alu_ports", k.aluPorts).field("mem_ports", k.memPorts);
+    w.field("fp_ports", k.fpPorts).wrap();
+    w.field("l1i_bytes", k.l1iBytes).field("l1d_bytes", k.l1dBytes);
+    w.field("l2_bytes", k.l2Bytes).field("l3_bytes", k.l3Bytes).end();
+    w.key("bpu").object(kInline).field("ghist_bits", bpu.ghistBits);
+    w.field("lhist_sets", bpu.lhistSets).field("lhist_bits", bpu.lhistBits);
+    w.field("history_file_entries", bpu.historyFileEntries);
+    w.field("update_width", bpu.updateWidth).end().end();
+}
+
 std::string
 DesignSpec::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"name\": \"" << jsonEscape(name) << "\",\n";
-    os << "  \"description\": \"" << jsonEscape(description) << "\",\n";
-    os << "  \"notation\": \"" << jsonEscape(notation) << "\",\n";
-    os << "  \"fetch_width\": " << fetchWidth << ",\n";
-    os << "  \"components\": [\n";
-    for (std::size_t i = 0; i < components.size(); ++i) {
-        const ComponentSpec& c = components[i];
-        os << "    {\"id\": \"" << jsonEscape(c.id) << "\", \"kind\": \""
-           << jsonEscape(c.kind) << "\"";
-        if (!c.mode.empty())
-            os << ", \"mode\": \"" << jsonEscape(c.mode) << "\"";
-        if (!c.knobs.empty()) {
-            os << ", \"knobs\": {";
-            bool first = true;
-            for (const auto& [k, v] : c.knobs) {
-                if (!first)
-                    os << ", ";
-                first = false;
-                os << '"' << jsonEscape(k) << "\": " << v;
-            }
-            os << "}";
-        }
-        if (!c.tables.empty()) {
-            os << ",\n     \"tables\": [";
-            bool first = true;
-            for (const TageTableSpec& t : c.tables) {
-                if (!first)
-                    os << ",\n                ";
-                first = false;
-                os << "{\"sets\": " << t.sets
-                   << ", \"hist_len\": " << t.histLen
-                   << ", \"tag_bits\": " << t.tagBits << "}";
-            }
-            os << "]";
-        }
-        os << "}" << (i + 1 < components.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"tree\": ";
-    emitTree(os, tree);
-    os << ",\n";
-    os << "  \"core\": {\"fetch_buffer_insts\": " << core.fetchBufferInsts
-       << ", \"ras_entries\": " << core.rasEntries
-       << ", \"core_width\": " << core.coreWidth
-       << ", \"rob_entries\": " << core.robEntries << ",\n"
-       << "           \"int_iq_entries\": " << core.intIqEntries
-       << ", \"mem_iq_entries\": " << core.memIqEntries
-       << ", \"fp_iq_entries\": " << core.fpIqEntries << ",\n"
-       << "           \"ldq_entries\": " << core.ldqEntries
-       << ", \"stq_entries\": " << core.stqEntries
-       << ", \"alu_ports\": " << core.aluPorts
-       << ", \"mem_ports\": " << core.memPorts
-       << ", \"fp_ports\": " << core.fpPorts << ",\n"
-       << "           \"l1i_bytes\": " << core.l1iBytes
-       << ", \"l1d_bytes\": " << core.l1dBytes
-       << ", \"l2_bytes\": " << core.l2Bytes
-       << ", \"l3_bytes\": " << core.l3Bytes << "},\n";
-    os << "  \"bpu\": {\"ghist_bits\": " << bpu.ghistBits
-       << ", \"lhist_sets\": " << bpu.lhistSets
-       << ", \"lhist_bits\": " << bpu.lhistBits
-       << ", \"history_file_entries\": " << bpu.historyFileEntries
-       << ", \"update_width\": " << bpu.updateWidth << "}\n";
-    os << "}\n";
-    return os.str();
+    JsonWriter w;
+    writeJson(w);
+    return w.str() + "\n";
 }
 
 // ---- JSON parsing -----------------------------------------------------
 
 namespace {
 
-using serve::Json;
-
 [[noreturn]] void
 badField(const std::string& field, const std::string& detail)
 {
     throw ConfigError(field, detail);
-}
-
-unsigned
-getUnsigned(const Json& obj, const std::string& key, unsigned dflt,
-            const std::string& where)
-{
-    const Json* v = obj.find(key);
-    if (v == nullptr)
-        return dflt;
-    if (!v->isNumber())
-        badField(where + "." + key, "must be a number");
-    const std::uint64_t u = v->asU64();
-    if (u > 0xFFFFFFFFull)
-        badField(where + "." + key, "out of range");
-    return static_cast<unsigned>(u);
-}
-
-std::uint64_t
-getU64Checked(const Json& obj, const std::string& key,
-              std::uint64_t dflt, const std::string& where)
-{
-    const Json* v = obj.find(key);
-    if (v == nullptr)
-        return dflt;
-    if (!v->isNumber())
-        badField(where + "." + key, "must be a number");
-    return v->asU64();
 }
 
 void
@@ -943,9 +883,9 @@ parseComponent(const Json& j, const std::string& where)
                 badField(tw, "must be an object");
             rejectUnknownKeys(t, tw, {"sets", "hist_len", "tag_bits"});
             TageTableSpec ts;
-            ts.sets = getU64Checked(t, "sets", ts.sets, tw);
-            ts.histLen = getU64Checked(t, "hist_len", ts.histLen, tw);
-            ts.tagBits = getU64Checked(t, "tag_bits", ts.tagBits, tw);
+            ts.sets = t.getUnsigned("sets", ts.sets);
+            ts.histLen = t.getUnsigned("hist_len", ts.histLen);
+            ts.tagBits = t.getUnsigned("tag_bits", ts.tagBits);
             c.tables.push_back(ts);
             ++i;
         }
@@ -953,22 +893,8 @@ parseComponent(const Json& j, const std::string& where)
     return c;
 }
 
-} // namespace
-
 DesignSpec
-DesignSpec::fromJson(const std::string& text)
-{
-    Json doc;
-    try {
-        doc = Json::parse(text);
-    } catch (const serve::JsonError& e) {
-        throw ConfigError("design spec", e.what());
-    }
-    return fromJson(doc);
-}
-
-DesignSpec
-DesignSpec::fromJson(const serve::Json& doc)
+parseSpec(const Json& doc)
 {
     if (!doc.isObject())
         throw ConfigError("design spec", "must be a JSON object");
@@ -980,8 +906,7 @@ DesignSpec::fromJson(const serve::Json& doc)
     spec.name = doc.getString("name", "");
     spec.description = doc.getString("description", "");
     spec.notation = doc.getString("notation", "");
-    spec.fetchWidth =
-        getUnsigned(doc, "fetch_width", spec.fetchWidth, "design");
+    spec.fetchWidth = doc.getUnsigned("fetch_width", spec.fetchWidth);
 
     const Json* comps = doc.find("components");
     if (comps == nullptr || !comps->isArray())
@@ -1009,33 +934,25 @@ DesignSpec::fromJson(const serve::Json& doc)
              "mem_ports", "fp_ports", "l1i_bytes", "l1d_bytes",
              "l2_bytes", "l3_bytes"});
         CoreSpec& cs = spec.core;
-        cs.fetchBufferInsts = getUnsigned(*core, "fetch_buffer_insts",
-                                          cs.fetchBufferInsts, "core");
-        cs.rasEntries =
-            getUnsigned(*core, "ras_entries", cs.rasEntries, "core");
-        cs.coreWidth =
-            getUnsigned(*core, "core_width", cs.coreWidth, "core");
-        cs.robEntries =
-            getUnsigned(*core, "rob_entries", cs.robEntries, "core");
-        cs.intIqEntries = getUnsigned(*core, "int_iq_entries",
-                                      cs.intIqEntries, "core");
-        cs.memIqEntries = getUnsigned(*core, "mem_iq_entries",
-                                      cs.memIqEntries, "core");
-        cs.fpIqEntries =
-            getUnsigned(*core, "fp_iq_entries", cs.fpIqEntries, "core");
-        cs.ldqEntries =
-            getUnsigned(*core, "ldq_entries", cs.ldqEntries, "core");
-        cs.stqEntries =
-            getUnsigned(*core, "stq_entries", cs.stqEntries, "core");
-        cs.aluPorts = getUnsigned(*core, "alu_ports", cs.aluPorts, "core");
-        cs.memPorts = getUnsigned(*core, "mem_ports", cs.memPorts, "core");
-        cs.fpPorts = getUnsigned(*core, "fp_ports", cs.fpPorts, "core");
-        cs.l1iBytes = getU64Checked(*core, "l1i_bytes", cs.l1iBytes,
-                                    "core");
-        cs.l1dBytes = getU64Checked(*core, "l1d_bytes", cs.l1dBytes,
-                                    "core");
-        cs.l2Bytes = getU64Checked(*core, "l2_bytes", cs.l2Bytes, "core");
-        cs.l3Bytes = getU64Checked(*core, "l3_bytes", cs.l3Bytes, "core");
+        auto get = [core](const char* key, auto& field) {
+            field = core->getUnsigned(key, field);
+        };
+        get("fetch_buffer_insts", cs.fetchBufferInsts);
+        get("ras_entries", cs.rasEntries);
+        get("core_width", cs.coreWidth);
+        get("rob_entries", cs.robEntries);
+        get("int_iq_entries", cs.intIqEntries);
+        get("mem_iq_entries", cs.memIqEntries);
+        get("fp_iq_entries", cs.fpIqEntries);
+        get("ldq_entries", cs.ldqEntries);
+        get("stq_entries", cs.stqEntries);
+        get("alu_ports", cs.aluPorts);
+        get("mem_ports", cs.memPorts);
+        get("fp_ports", cs.fpPorts);
+        get("l1i_bytes", cs.l1iBytes);
+        get("l1d_bytes", cs.l1dBytes);
+        get("l2_bytes", cs.l2Bytes);
+        get("l3_bytes", cs.l3Bytes);
     }
 
     if (const Json* bpuJ = doc.find("bpu")) {
@@ -1045,20 +962,39 @@ DesignSpec::fromJson(const serve::Json& doc)
                           {"ghist_bits", "lhist_sets", "lhist_bits",
                            "history_file_entries", "update_width"});
         BpuSpec& bs = spec.bpu;
-        bs.ghistBits =
-            getUnsigned(*bpuJ, "ghist_bits", bs.ghistBits, "bpu");
-        bs.lhistSets =
-            getUnsigned(*bpuJ, "lhist_sets", bs.lhistSets, "bpu");
-        bs.lhistBits =
-            getUnsigned(*bpuJ, "lhist_bits", bs.lhistBits, "bpu");
-        bs.historyFileEntries = getUnsigned(
-            *bpuJ, "history_file_entries", bs.historyFileEntries, "bpu");
-        bs.updateWidth =
-            getUnsigned(*bpuJ, "update_width", bs.updateWidth, "bpu");
+        bs.ghistBits = bpuJ->getUnsigned("ghist_bits", bs.ghistBits);
+        bs.lhistSets = bpuJ->getUnsigned("lhist_sets", bs.lhistSets);
+        bs.lhistBits = bpuJ->getUnsigned("lhist_bits", bs.lhistBits);
+        bs.historyFileEntries = bpuJ->getUnsigned(
+            "history_file_entries", bs.historyFileEntries);
+        bs.updateWidth = bpuJ->getUnsigned("update_width", bs.updateWidth);
     }
 
     spec.validate();
     return spec;
+}
+
+} // namespace
+
+DesignSpec
+DesignSpec::fromJson(const std::string& text)
+{
+    try {
+        return parseSpec(Json::parse(text));
+    } catch (const JsonError& e) {
+        throw ConfigError("design spec", e.what());
+    }
+}
+
+DesignSpec
+DesignSpec::fromJson(const Json& doc)
+{
+    try {
+        return parseSpec(doc);
+    } catch (const JsonError& e) {
+        // A member of the wrong kind or range; the message names it.
+        throw ConfigError("design spec", e.what());
+    }
 }
 
 // ---- Presets ----------------------------------------------------------

@@ -33,9 +33,10 @@ class FaultEngine;
 class ContractAuditor;
 } // namespace cobra::guard
 
-namespace cobra::serve {
+namespace cobra {
 class Json;
-} // namespace cobra::serve
+class JsonWriter;
+} // namespace cobra
 
 namespace cobra::sim {
 
@@ -165,6 +166,10 @@ struct DesignSpec
      */
     std::string toJson() const;
 
+    /** Write the toJson() document as a value into @p w (the search
+     *  frontier embeds each finalist's spec this way). */
+    void writeJson(JsonWriter& w) const;
+
     /**
      * Parse and validate one spec document. Throws guard::ConfigError
      * on malformed JSON, unknown fields of known blocks, or any
@@ -177,7 +182,7 @@ struct DesignSpec
      * (e.g. an inline "design_spec" object inside a cobra_serve
      * request document). Same validation as the text overload.
      */
-    static DesignSpec fromJson(const serve::Json& doc);
+    static DesignSpec fromJson(const Json& doc);
 
     bool operator==(const DesignSpec&) const = default;
 };

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 
@@ -109,11 +110,13 @@ struct SweepOutcome
     std::string loop;
     /** Text captured from the post-run hook (stats/area dumps). */
     std::string postRunText;
-    /** CobraScope: this point's stats document (JSON object), rendered
-     *  on the worker when cfg.output.statsJsonPath is set. */
+    /** CobraScope: this point's stats document (a JsonWriter fragment
+     *  at depth 2), rendered on the worker when
+     *  cfg.output.statsJsonPath is set. */
     std::string statsJson;
-    /** CobraScope: this point's Chrome trace-event lines, rendered on
-     *  the worker when cfg.output.traceEventsPath is set. */
+    /** CobraScope: this point's Chrome trace events (a JsonWriter
+     *  fragment at depth 0, one event per line), rendered on the
+     *  worker when cfg.output.traceEventsPath is set. */
     std::string traceEvents;
 
     bool ok() const { return error.empty(); }
@@ -227,23 +230,24 @@ class SweepEngine
     std::vector<SweepPoint> points_;
 };
 
+/** Writes extra members into a document's open object. */
+using JsonMembers = std::function<void(JsonWriter&)>;
+
 /**
  * Write sweep outcomes as a machine-readable JSON document:
  * per-point simulation metrics plus host throughput counters. The
- * parent directory must exist. @p extra, when non-empty, is spliced
- * verbatim as additional top-level fields (callers pass pre-formatted
- * `"key": value` pairs).
+ * parent directory must exist. @p extra, when set, writes additional
+ * top-level members after "jobs".
  */
 void writeSweepJson(const std::string& path, const std::string& name,
                     const std::vector<SweepOutcome>& outcomes,
-                    unsigned jobs, const std::string& extra = "");
+                    unsigned jobs, const JsonMembers& extra = {});
 
 /**
  * Render one point's full CobraScope stats document: the SimResult
  * (every visitFields field plus derived ipc/mpki/accuracy) and the
  * complete stat-group hierarchy from the simulator's registry. The
- * returned string is a JSON object indented for splicing into
- * writeStatsJson's "points" array.
+ * returned string is a fragment for writeStatsJson's "points" array.
  */
 std::string renderPointStats(const std::string& label,
                              const Simulator& s, const SimResult& r);
@@ -251,12 +255,11 @@ std::string renderPointStats(const std::string& label,
 /**
  * Variant for callers that no longer hold a live Simulator (the warp
  * driver, whose interval simulators die on the sweep workers):
- * @p groups_json is a pre-rendered stat-group hierarchy object at the
- * indentation StatRegistry::writeJson(os, 6) would produce.
+ * @p groups writes the members of the point's "groups" object.
  */
 std::string renderPointStats(const std::string& label,
                              const SimResult& r,
-                             const std::string& groups_json);
+                             const JsonMembers& groups);
 
 /**
  * Write the per-point stats documents gathered in
@@ -278,19 +281,14 @@ void writeStatsJson(const std::string& path, const std::string& tool,
 void writeTraceEvents(const std::string& path,
                       const std::vector<SweepOutcome>& outcomes);
 
-/** JSON string escaping for writeSweepJson-style emitters. */
-std::string jsonEscape(const std::string& s);
-
 /**
- * Emit every SimResult field (snake_case keys from visitFields'
- * names) followed by the derived ipc/mpki/accuracy ratios, one
- * `pad"key": value` line each. The final line carries a comma iff
- * @p trailing_comma, so callers can append further members or close
- * the object. Shared by the sweep writers and the cobra_serve result
- * documents, so every consumer renders result fields identically.
+ * Write every SimResult field (snake_case keys from visitFields'
+ * names) followed by the derived ipc/mpki/accuracy ratios into the
+ * object @p w has open. Shared by the sweep writers and the
+ * cobra_serve result documents, so every consumer renders result
+ * fields identically.
  */
-void writeResultFields(std::ostream& os, const SimResult& r,
-                       const std::string& pad, bool trailing_comma);
+void writeResultFields(JsonWriter& w, const SimResult& r);
 
 } // namespace cobra::sim
 

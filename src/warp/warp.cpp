@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 
 #include "guard/errors.hpp"
 #include "warp/snapshot.hpp"
@@ -142,9 +141,10 @@ runWarp(const prog::Program& program,
             const sim::SimResult r = s.runInterval(warmup, sample);
             *cyclesOut = s.cycles();
             if (groupsOut != nullptr) {
-                std::ostringstream os;
-                s.statRegistry().writeJson(os, 6);
-                *groupsOut = os.str();
+                // Members of the stats document's "groups" object.
+                JsonWriter g(4);
+                s.statRegistry().writeJson(g);
+                *groupsOut = g.str();
             }
             return r;
         };
@@ -244,8 +244,8 @@ runWarp(const prog::Program& program,
     return est;
 }
 
-std::string
-statsGroupsJson(const WarpEstimate& est)
+void
+writeStatsGroups(JsonWriter& w, const WarpEstimate& est)
 {
     auto ppm = [](double rel) {
         return static_cast<std::uint64_t>(
@@ -253,34 +253,17 @@ statsGroupsJson(const WarpEstimate& est)
     };
     const double mpkiRel =
         est.mpki > 0.0 ? est.mpkiCi95 / est.mpki : 0.0;
-    std::ostringstream os;
-    os << "{\n        \"warp\": {\n          \"counters\": {\n"
-       << "            \"intervals\": " << est.intervals.size()
-       << ",\n"
-       << "            \"ff_insts\": " << est.ffInsts << ",\n"
-       << "            \"warm_hits\": " << est.warmHits << ",\n"
-       << "            \"detailed_insts\": " << est.detailedInsts
-       << ",\n"
-       << "            \"detailed_cycles\": " << est.detailedCycles
-       << ",\n"
-       << "            \"warmup_cycles\": " << est.warmupCycles
-       << ",\n"
-       << "            \"measured_cycles\": "
-       << est.detailedCycles - est.warmupCycles << ",\n"
-       << "            \"estimated_cycles\": " << est.estimate.cycles
-       << ",\n"
-       << "            \"ipc_ci95_ppm\": " << ppm(est.ipcRelErr)
-       << ",\n"
-       << "            \"mpki_ci95_ppm\": " << ppm(mpkiRel) << "\n"
-       << "          }\n        },\n";
-    if (est.groupsJson.size() > 2 && est.groupsJson[0] == '{') {
-        // Splice the registry tree's members after our warp group:
-        // StatRegistry::writeJson always opens with "{\n".
-        os << est.groupsJson.substr(2);
-    } else {
-        os << "      }";
-    }
-    return os.str();
+    w.key("warp").object().key("counters").object();
+    w.field("intervals", est.intervals.size());
+    w.field("ff_insts", est.ffInsts).field("warm_hits", est.warmHits);
+    w.field("detailed_insts", est.detailedInsts);
+    w.field("detailed_cycles", est.detailedCycles);
+    w.field("warmup_cycles", est.warmupCycles);
+    w.field("measured_cycles", est.detailedCycles - est.warmupCycles);
+    w.field("estimated_cycles", est.estimate.cycles);
+    w.field("ipc_ci95_ppm", ppm(est.ipcRelErr));
+    w.field("mpki_ci95_ppm", ppm(mpkiRel));
+    w.end().end().splice(est.groupsJson);
 }
 
 } // namespace cobra::warp

@@ -141,10 +141,11 @@ struct WarpEstimate
     std::uint64_t detailedInsts = 0;
 
     /**
-     * CobraScope stat-group hierarchy (JSON object) of the last
-     * interval's simulator, whose checkpointed stats span the whole
-     * warmed run; counters mix fast-forward warming with that
-     * interval's detailed sample, so the authoritative whole-run
+     * CobraScope stat-group hierarchy of the last interval's
+     * simulator, whose checkpointed stats span the whole warmed run:
+     * the members of a stats document's "groups" object (a JsonWriter
+     * fragment at depth 4). Counters mix fast-forward warming with
+     * that interval's detailed sample, so the authoritative whole-run
      * numbers are `estimate` and the `warp` group, not this tree.
      */
     std::string groupsJson;
@@ -153,13 +154,14 @@ struct WarpEstimate
 };
 
 /**
- * The stats-document group tree for a warp point: `groupsJson` with a
- * synthetic "warp" group spliced in, recording the fast-forward /
+ * Write a warp point's stats-document groups into the object @p w has
+ * open: a synthetic "warp" group recording the fast-forward /
  * detailed cycle split and the estimated error (CI half-widths in
- * parts-per-million, since stat counters are unsigned integers).
- * Validates against tools/stats_schema.json like any registry render.
+ * parts-per-million, since stat counters are unsigned integers),
+ * followed by `groupsJson`. Validates against tools/stats_schema.json
+ * like any registry render.
  */
-std::string statsGroupsJson(const WarpEstimate& est);
+void writeStatsGroups(JsonWriter& w, const WarpEstimate& est);
 
 /**
  * Run @p cfg's workload in warp mode. @p topology is invoked once per

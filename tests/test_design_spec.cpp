@@ -12,9 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
-#include "serve/json.hpp"
 #include "sim/design_spec.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
@@ -72,7 +72,7 @@ TEST(DesignSpec, ParsedJsonValueOverloadMatchesTextOverload)
 {
     for (sim::Design d : allDesigns()) {
         const std::string text = sim::presetSpec(d).toJson();
-        const serve::Json doc = serve::Json::parse(text);
+        const Json doc = Json::parse(text);
         EXPECT_EQ(sim::DesignSpec::fromJson(doc),
                   sim::DesignSpec::fromJson(text))
             << sim::designName(d);
@@ -244,6 +244,33 @@ TEST(DesignSpec, MalformedDocumentsAreRejectedWithConfigErrors)
         EXPECT_THROW(sim::DesignSpec::fromJson(std::string(text)),
                      ConfigError)
             << "accepted: " << text;
+    }
+}
+
+TEST(DesignSpec, OutOfRangeIntegersAreConfigErrorsNamingTheField)
+{
+    const std::string head =
+        "{\"name\": \"x\", \"tree\": \"A\", \"components\": "
+        "[{\"id\": \"A\", \"kind\": \"tage\", \"tables\": "
+        "[{\"sets\": ";
+    const std::pair<std::string, const char*> bad[] = {
+        {head + "-1}]}]}", "'sets'"},
+        {head + "1e30}]}]}", "'sets'"},
+        {head + "512}]}], \"core\": {\"rob_entries\": 4294967296}}",
+         "'rob_entries'"},
+        {head + "512}]}], \"core\": {\"l1i_bytes\": 1e30}}",
+         "'l1i_bytes'"},
+        {head + "512}]}], \"fetch_width\": 4.5}", "'fetch_width'"},
+    };
+    for (const auto& [text, field] : bad) {
+        try {
+            sim::DesignSpec::fromJson(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

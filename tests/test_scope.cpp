@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "scope/stat_registry.hpp"
@@ -132,9 +133,10 @@ TEST(StatRegistry, RendersNestedJson)
     reg.add(top);
     reg.add("nest.leaf", leaf);
 
-    std::ostringstream oss;
-    reg.writeJson(oss);
-    const std::string doc = oss.str();
+    JsonWriter w;
+    w.object();
+    reg.writeJson(w);
+    const std::string doc = w.end().str();
     EXPECT_TRUE(jsonBalanced(doc)) << doc;
     EXPECT_NE(doc.find("\"top\": {"), std::string::npos);
     EXPECT_NE(doc.find("\"a\": 1"), std::string::npos);
@@ -189,12 +191,13 @@ TEST(Tracer, WritesChromeTraceFragments)
     t.record(scope::TraceKind::Mispredict, 0x1a2b, 7, 0, 3, true);
     t.record(scope::TraceKind::Commit, 0x1a2c, 7);
 
-    std::ostringstream oss;
-    t.writeChromeTrace(oss, 3, "tagel/leela");
-    const std::string frag = oss.str();
-    // Fragment contract: every line ends ",\n" so the file writer can
-    // concatenate fragments and close the array itself.
-    EXPECT_EQ(frag.substr(frag.size() - 2), ",\n");
+    JsonWriter w;
+    t.writeChromeTrace(w, 3, "tagel/leela");
+    const std::string frag = w.str();
+    // Fragment contract: the members of an open array, one event per
+    // line, so the file writer can splice fragments point by point.
+    // Process + six thread names + two records.
+    EXPECT_EQ(Json::parse("[" + frag + "]").asArray().size(), 9u);
     EXPECT_NE(frag.find("\"process_name\""), std::string::npos);
     EXPECT_NE(frag.find("\"tagel/leela\""), std::string::npos);
     EXPECT_NE(frag.find("\"pid\": 3"), std::string::npos);
@@ -204,7 +207,7 @@ TEST(Tracer, WritesChromeTraceFragments)
     EXPECT_NE(frag.find("\"pc\": \"0x1a2b\""), std::string::npos);
     EXPECT_NE(frag.find("\"comp\": \"TAGE\""), std::string::npos);
     // Commit carries no attribution, so no comp key on that line.
-    EXPECT_TRUE(jsonBalanced("[" + frag + "{}]"));
+    EXPECT_TRUE(jsonBalanced("[" + frag + "]"));
 }
 
 // ---- SimResult field enumeration -----------------------------------------

@@ -17,12 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "search/driver.hpp"
 #include "search/space.hpp"
 #include "search/surrogate.hpp"
-#include "serve/json.hpp"
 
 using namespace cobra;
 using guard::ConfigError;
@@ -178,20 +178,20 @@ TEST(Search, FrontierArtifactCarriesProvenanceAndParses)
     const search::SearchResult r = search::runSearch(tinyConfig(),
                                                      cache());
     const std::string doc = search::frontierJson(r);
-    const serve::Json j = serve::Json::parse(doc);
+    const Json j = Json::parse(doc);
     EXPECT_EQ(j.getString("tool", ""), "cobra_search");
     EXPECT_EQ(j.getU64("seed", 0), 7u);
     ASSERT_NE(j.find("budget"), nullptr);
     ASSERT_NE(j.find("tiers"), nullptr);
     ASSERT_NE(j.find("evals"), nullptr);
     ASSERT_NE(j.find("surrogate"), nullptr);
-    const serve::Json* cands = j.find("candidates");
+    const Json* cands = j.find("candidates");
     ASSERT_NE(cands, nullptr);
     EXPECT_EQ(cands->asArray().size(), r.candidates.size());
-    const serve::Json* frontier = j.find("frontier");
+    const Json* frontier = j.find("frontier");
     ASSERT_NE(frontier, nullptr);
     ASSERT_EQ(frontier->asArray().size(), r.frontier.size());
-    for (const serve::Json& f : frontier->asArray()) {
+    for (const Json& f : frontier->asArray()) {
         // Frontier entries carry the full inline spec (provenance:
         // the artifact alone reproduces the design).
         ASSERT_NE(f.find("spec"), nullptr);

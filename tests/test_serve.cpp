@@ -17,10 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "serve/daemon.hpp"
-#include "serve/json.hpp"
 #include "serve/journal.hpp"
 #include "serve/request.hpp"
 #include "serve/spool.hpp"
@@ -103,7 +103,7 @@ runOnce(const serve::ServeConfig& cfg)
 
 TEST(ServeJson, ParsesScalarsArraysAndObjects)
 {
-    const serve::Json doc = serve::Json::parse(
+    const Json doc = Json::parse(
         "{\"a\": 1, \"b\": -2.5, \"c\": true, \"d\": null, "
         "\"e\": [1, 2, 3], \"f\": {\"g\": \"hi\"}}");
     EXPECT_EQ(doc.getU64("a", 0), 1u);
@@ -118,17 +118,25 @@ TEST(ServeJson, ParsesScalarsArraysAndObjects)
 
 TEST(ServeJson, IntegersSurviveUntruncated)
 {
-    const serve::Json doc =
-        serve::Json::parse("{\"big\": 9007199254740993}");
+    const Json doc =
+        Json::parse("{\"big\": 9007199254740993}");
     // 2^53 + 1 is not representable as a double; the integer view is.
     EXPECT_EQ(doc.getU64("big", 0), 9007199254740993ull);
 }
 
 TEST(ServeJson, StringEscapesDecode)
 {
-    const serve::Json doc = serve::Json::parse(
+    const Json doc = Json::parse(
         "{\"s\": \"a\\\"b\\\\c\\n\\t\\u0041\"}");
     EXPECT_EQ(doc.getString("s", ""), "a\"b\\c\n\tA");
+    // Two- and three-byte UTF-8, and a surrogate pair combined into
+    // one four-byte sequence (U+1F600), never CESU-8.
+    const Json utf = Json::parse(
+        "[\"\\u00e9\", \"\\u20ac\", \"\\ud83d\\ude00\", \"\\uD83D\\uDE00\"]");
+    EXPECT_EQ(utf.asArray()[0].asString(), "\xC3\xA9");
+    EXPECT_EQ(utf.asArray()[1].asString(), "\xE2\x82\xAC");
+    EXPECT_EQ(utf.asArray()[2].asString(), "\xF0\x9F\x98\x80");
+    EXPECT_EQ(utf.asArray()[3].asString(), "\xF0\x9F\x98\x80");
 }
 
 TEST(ServeJson, MalformedDocumentsAreStructuredErrors)
@@ -145,10 +153,63 @@ TEST(ServeJson, MalformedDocumentsAreStructuredErrors)
         "{\"a\": 01}",             // leading zero
         "nul",                     // truncated literal
         "{\"a\": \"\x01\"}",       // raw control character
+        "1.",                      // no fraction digit
+        "1e",                      // no exponent digit
+        "1e+",                     // signed exponent without digits
+        "-1.e5",                   // no fraction digit before 'e'
+        "[1.]",                    // ... inside a container
+        "-",                       // sign alone
+        "\"\\ud83d\"",              // lone high surrogate
+        "\"\\ude00\"",              // lone low surrogate
+        "\"\\ud83d\\u0041\"",       // high surrogate, then not a low
+        "\"\\ud83dx\"",             // high surrogate, then plain text
     };
     for (const char* text : bad)
-        EXPECT_THROW(serve::Json::parse(text), serve::JsonError)
+        EXPECT_THROW(Json::parse(text), JsonError)
             << "accepted: " << text;
+}
+
+TEST(ServeJson, MalformedNumbersNameTheByteOffset)
+{
+    // The offset is where a digit was due.
+    const std::pair<const char*, std::size_t> cases[] = {
+        {"[1.]", 3}, {"1e", 2}, {"{\"a\": 1e+}", 9}, {"-1.e5", 3}};
+    for (const auto& [text, offset] : cases) {
+        try {
+            Json::parse(text);
+            ADD_FAILURE() << "accepted: " << text;
+        } catch (const JsonError& e) {
+            EXPECT_EQ(e.offset(), offset) << text << ": " << e.what();
+        }
+    }
+}
+
+TEST(ServeJson, UnsignedAccessorRangeChecksAndNamesTheField)
+{
+    const Json doc = Json::parse(
+        "{\"max32\": 4294967295, \"over32\": 4294967296, "
+        "\"huge\": 1e30, \"neg\": -1, \"frac\": 2.5, \"whole\": 1e3, "
+        "\"text\": \"7\"}");
+    EXPECT_EQ(doc.getUnsigned<unsigned>("max32", 0), 4294967295u);
+    EXPECT_EQ(doc.getUnsigned<unsigned>("whole", 0), 1000u);
+    EXPECT_EQ(doc.getUnsigned<unsigned>("absent", 9), 9u);
+    EXPECT_EQ(doc.getU64("over32", 0), 4294967296ull);
+    for (const char* key : {"over32", "huge", "neg", "frac", "text"}) {
+        try {
+            doc.getUnsigned<unsigned>(key, 0);
+            ADD_FAILURE() << "narrowed: " << key;
+        } catch (const JsonError& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + key +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(doc.getUnsigned<int>("max32", 0), JsonError);
+    // 1e30 is integral but beyond any 64-bit integer: an error, not
+    // an undefined float-to-int conversion.
+    EXPECT_THROW(doc.find("huge")->asInt(), JsonError);
+    EXPECT_THROW(doc.getU64("huge", 0), JsonError);
 }
 
 TEST(ServeJson, NestingDepthIsBounded)
@@ -156,16 +217,16 @@ TEST(ServeJson, NestingDepthIsBounded)
     std::string deep;
     for (int i = 0; i < 100; ++i)
         deep += "[";
-    EXPECT_THROW(serve::Json::parse(deep), serve::JsonError);
+    EXPECT_THROW(Json::parse(deep), JsonError);
 }
 
 TEST(ServeJson, TypeMismatchesThrowNotCrash)
 {
-    const serve::Json doc = serve::Json::parse("{\"a\": \"text\"}");
-    EXPECT_THROW(doc.find("a")->asU64(), serve::JsonError);
-    EXPECT_THROW(doc.find("a")->asArray(), serve::JsonError);
-    EXPECT_THROW(serve::Json::parse("{\"a\": -1}").getU64("a", 0),
-                 serve::JsonError);
+    const Json doc = Json::parse("{\"a\": \"text\"}");
+    EXPECT_THROW(doc.find("a")->asU64(), JsonError);
+    EXPECT_THROW(doc.find("a")->asArray(), JsonError);
+    EXPECT_THROW(Json::parse("{\"a\": -1}").getU64("a", 0),
+                 JsonError);
 }
 
 // ---------------------------------------------------------------------
@@ -245,6 +306,35 @@ TEST(ServeRequest, SemanticViolationsAreRejected)
         "not json at all",
     };
     for (const char* text : bad)
+        EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
+                     serve::RequestError)
+            << "accepted: " << text;
+}
+
+TEST(ServeRequest, OutOfRangeIntegersAreRejectedNotNarrowed)
+{
+    const std::string sweep =
+        "{\"client\": \"c\", \"designs\": [\"b2\"], "
+        "\"workloads\": [\"leela\"], ";
+    const std::string search =
+        "{\"client\": \"c\", \"kind\": \"search\", "
+        "\"workloads\": [\"mcf\"], \"search\": {";
+    const std::string bad[] = {
+        // 2^32 + 3 and 2^32 once narrowed to the valid priorities 3
+        // and 0.
+        sweep + "\"priority\": 4294967299}",
+        sweep + "\"priority\": 4294967296}",
+        sweep + "\"max_retries\": 4294967296}",
+        sweep + "\"warp\": {\"intervals\": 4294967297}}",
+        sweep + "\"insts\": 1e30}",
+        search + "\"pool\": 4294967304}}",
+        search + "\"seed_evals\": 4294967299}}",
+        search + "\"survivors\": 4294967299}}",
+        search + "\"warp_survivors\": 4294967297}}",
+        search + "\"finalists\": 4294967297}}",
+        search + "\"intervals\": 4294967298}}",
+    };
+    for (const std::string& text : bad)
         EXPECT_THROW(serve::SweepRequest::parse(text, "f"),
                      serve::RequestError)
             << "accepted: " << text;
@@ -440,7 +530,7 @@ TEST(ServeJournal, AppendsReplayInOrder)
     std::vector<std::string> evs;
     std::vector<std::string> extras;
     const std::size_t n = serve::Journal::replay(
-        path, [&](const serve::Json& rec) {
+        path, [&](const Json& rec) {
             evs.push_back(rec.getString("ev", ""));
             extras.push_back(rec.getString("fragment", "") +
                              rec.getString("error_class", ""));
@@ -468,14 +558,14 @@ TEST(ServeJournal, TornTailStopsReplayWithoutError)
 
     std::size_t points = 0;
     const std::size_t n = serve::Journal::replay(
-        path, [&](const serve::Json& rec) {
+        path, [&](const Json& rec) {
             if (rec.getString("ev", "") == "point")
                 ++points;
         });
     EXPECT_EQ(n, 1u); // The accept survived; the torn point did not.
     EXPECT_EQ(points, 0u);
     EXPECT_EQ(serve::Journal::replay(dir + "/absent.log",
-                                     [](const serve::Json&) {}),
+                                     [](const Json&) {}),
               0u);
 }
 
@@ -490,7 +580,7 @@ TEST(ServeJournal, CheckpointAtomicallyRewrites)
     j.append(serve::Journal::doneLine("kept", "ok"));
 
     std::vector<std::string> ids;
-    serve::Journal::replay(path, [&](const serve::Json& rec) {
+    serve::Journal::replay(path, [&](const Json& rec) {
         ids.push_back(rec.getString("id", ""));
     });
     EXPECT_EQ(ids, (std::vector<std::string>{"kept", "kept"}));
@@ -510,7 +600,7 @@ TEST(ServeJournal, FragmentsWithNewlinesStayLineOriented)
     }
     std::string recovered;
     const std::size_t n = serve::Journal::replay(
-        path, [&](const serve::Json& rec) {
+        path, [&](const Json& rec) {
             if (rec.getString("ev", "") == "point")
                 recovered = rec.getString("fragment", "");
         });
@@ -657,7 +747,7 @@ TEST(ServeDaemon, HealthyGridRetiresOk)
     EXPECT_EQ(runOnce(onceConfig(root)), 1u);
     EXPECT_TRUE(fs::exists(spool.doneDir() + "/grid.json"));
 
-    const serve::Json doc = serve::Json::parse(resultText(spool,
+    const Json doc = Json::parse(resultText(spool,
                                                           "grid"));
     EXPECT_EQ(doc.getString("tool", ""), "cobra_serve");
     EXPECT_EQ(doc.getString("status", ""), "ok");
@@ -671,8 +761,8 @@ TEST(ServeDaemon, HealthyGridRetiresOk)
     EXPECT_EQ(pts[1].getString("status", ""), "ok");
 
     // The health document reflects the retire.
-    const serve::Json status =
-        serve::Json::parse(serve::readFileText(spool.statusPath()));
+    const Json status =
+        Json::parse(serve::readFileText(spool.statusPath()));
     EXPECT_EQ(status.getString("state", ""), "stopped");
     EXPECT_EQ(status.getU64("retired", 0), 1u);
 }
@@ -690,14 +780,14 @@ TEST(ServeDaemon, InvalidRequestBecomesStructuredRejection)
     EXPECT_TRUE(fs::exists(spool.failedDir() + "/broken.json"));
     EXPECT_TRUE(fs::exists(spool.failedDir() + "/unknown.json"));
 
-    const serve::Json doc =
-        serve::Json::parse(resultText(spool, "broken"));
+    const Json doc =
+        Json::parse(resultText(spool, "broken"));
     EXPECT_EQ(doc.getString("status", ""), "rejected");
     EXPECT_EQ(doc.getString("reason", ""), "invalid_request");
     EXPECT_NE(doc.getString("detail", ""), "");
 
-    const serve::Json doc2 =
-        serve::Json::parse(resultText(spool, "unknown"));
+    const Json doc2 =
+        Json::parse(resultText(spool, "unknown"));
     EXPECT_EQ(doc2.getString("reason", ""), "invalid_request");
     EXPECT_NE(doc2.getString("detail", "").find("design"),
               std::string::npos);
@@ -718,7 +808,7 @@ TEST(ServeDaemon, TimeoutPointFailsWithRetriesRecorded)
     EXPECT_EQ(runOnce(cfg), 1u);
     EXPECT_TRUE(fs::exists(spool.failedDir() + "/slow.json"));
 
-    const serve::Json doc = serve::Json::parse(resultText(spool,
+    const Json doc = Json::parse(resultText(spool,
                                                           "slow"));
     EXPECT_EQ(doc.getString("status", ""), "failed");
     const auto& pts = doc.find("points")->asArray();
@@ -746,17 +836,17 @@ TEST(ServeDaemon, AdmissionControlQuotaAndSize)
     cfg.maxPointsPerClient = 1;  // "ok1" fits; "ok2" busts the quota.
     EXPECT_EQ(runOnce(cfg), 1u);
 
-    const serve::Json big = serve::Json::parse(resultText(spool,
+    const Json big = Json::parse(resultText(spool,
                                                           "big"));
     EXPECT_EQ(big.getString("reason", ""), "too_large");
     EXPECT_EQ(big.find("points")->asArray().size(), 4u);
     EXPECT_EQ(big.find("points")->asArray()[0].getString("status", ""),
               "rejected");
 
-    EXPECT_EQ(serve::Json::parse(resultText(spool, "ok1"))
+    EXPECT_EQ(Json::parse(resultText(spool, "ok1"))
                   .getString("status", ""),
               "ok");
-    EXPECT_EQ(serve::Json::parse(resultText(spool, "ok2"))
+    EXPECT_EQ(Json::parse(resultText(spool, "ok2"))
                   .getString("reason", ""),
               "quota");
 }
@@ -775,13 +865,13 @@ TEST(ServeDaemon, FullQueueShedsLowestPriority)
     cfg.maxQueue = 1;
     EXPECT_EQ(runOnce(cfg), 1u);
 
-    EXPECT_EQ(serve::Json::parse(resultText(spool, "a"))
+    EXPECT_EQ(Json::parse(resultText(spool, "a"))
                   .getString("reason", ""),
               "shed");
-    EXPECT_EQ(serve::Json::parse(resultText(spool, "b"))
+    EXPECT_EQ(Json::parse(resultText(spool, "b"))
                   .getString("reason", ""),
               "queue_full");
-    EXPECT_EQ(serve::Json::parse(resultText(spool, "c"))
+    EXPECT_EQ(Json::parse(resultText(spool, "c"))
                   .getString("status", ""),
               "ok");
     EXPECT_TRUE(fs::exists(spool.failedDir() + "/a.json"));
@@ -823,7 +913,7 @@ TEST(ServeDaemon, RecoveryReplaysJournaledPointsWithoutRerun)
     // The journaled fragment was republished verbatim (424242 insts
     // prove point 0 was not re-simulated)...
     EXPECT_NE(text.find("424242"), std::string::npos);
-    const serve::Json doc = serve::Json::parse(text);
+    const Json doc = Json::parse(text);
     EXPECT_EQ(doc.getString("status", ""), "ok");
     const auto& pts = doc.find("points")->asArray();
     ASSERT_EQ(pts.size(), 2u);
@@ -870,17 +960,17 @@ TEST(ServeDaemon, WarpRequestsReuseWarmStateBitIdentically)
     submit(spool, "warm.json", "{\"id\": \"warm\", " + body + "}");
     EXPECT_EQ(runOnce(cfg), 1u);
 
-    const serve::Json cold = serve::Json::parse(resultText(spool,
+    const Json cold = Json::parse(resultText(spool,
                                                            "cold"));
-    const serve::Json warm = serve::Json::parse(resultText(spool,
+    const Json warm = Json::parse(resultText(spool,
                                                            "warm"));
-    const serve::Json& cp = cold.find("points")->asArray()[0];
-    const serve::Json& wp = warm.find("points")->asArray()[0];
+    const Json& cp = cold.find("points")->asArray()[0];
+    const Json& wp = warm.find("points")->asArray()[0];
     ASSERT_EQ(cp.getString("status", ""), "ok");
     ASSERT_EQ(wp.getString("status", ""), "ok");
 
-    const serve::Json* cw = cp.find("warp");
-    const serve::Json* ww = wp.find("warp");
+    const Json* cw = cp.find("warp");
+    const Json* ww = wp.find("warp");
     ASSERT_NE(cw, nullptr);
     ASSERT_NE(ww, nullptr);
     EXPECT_EQ(cw->getU64("warm_hits", 99), 0u);
@@ -920,12 +1010,12 @@ TEST(ServeDaemon, PoisonedWarmCacheRegeneratesCleanly)
     submit(spool, "again.json", "{\"id\": \"again\", " + body + "}");
     EXPECT_EQ(runOnce(onceConfig(root)), 1u);
 
-    const serve::Json cold = serve::Json::parse(resultText(spool,
+    const Json cold = Json::parse(resultText(spool,
                                                            "cold"));
-    const serve::Json again = serve::Json::parse(resultText(spool,
+    const Json again = Json::parse(resultText(spool,
                                                             "again"));
-    const serve::Json& cp = cold.find("points")->asArray()[0];
-    const serve::Json& ap = again.find("points")->asArray()[0];
+    const Json& cp = cold.find("points")->asArray()[0];
+    const Json& ap = again.find("points")->asArray()[0];
     ASSERT_EQ(ap.getString("status", ""), "ok");
     // Poison forced a cold pass (no warm hits), and the regenerated
     // run still produced the identical estimate.
@@ -959,10 +1049,10 @@ TEST(ServeDaemon, TraceRequestReplaysBitIdenticallyToExecute)
                ", \"trace\": \"" + tracePath + "\"}");
     EXPECT_EQ(runOnce(onceConfig(root)), 2u);
 
-    const serve::Json execDoc =
-        serve::Json::parse(resultText(spool, "exec"));
-    const serve::Json replayDoc =
-        serve::Json::parse(resultText(spool, "replay"));
+    const Json execDoc =
+        Json::parse(resultText(spool, "exec"));
+    const Json replayDoc =
+        Json::parse(resultText(spool, "replay"));
     const auto& ep = execDoc.find("points")->asArray();
     const auto& rp = replayDoc.find("points")->asArray();
     ASSERT_EQ(ep.size(), 2u);
@@ -1019,8 +1109,8 @@ TEST(ServeDaemon, BadTraceRequestsAreRejectedAtAdmission)
     EXPECT_EQ(runOnce(onceConfig(root)), 0u);
 
     for (const char* id : {"gone", "corrupt", "mismatch", "overrun"}) {
-        const serve::Json doc =
-            serve::Json::parse(resultText(spool, id));
+        const Json doc =
+            Json::parse(resultText(spool, id));
         EXPECT_EQ(doc.getString("status", ""), "rejected") << id;
         EXPECT_EQ(doc.getString("reason", ""), "invalid_trace") << id;
         EXPECT_NE(doc.getString("detail", ""), "") << id;

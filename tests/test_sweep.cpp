@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "program/workload.hpp"
 #include "sim/presets.hpp"
 #include "sim/sweep.hpp"
@@ -372,8 +373,12 @@ TEST(SweepJson, EmitsEveryPointWithHostBlock)
 
 TEST(SweepJson, EscapesControlAndQuoteCharacters)
 {
-    EXPECT_EQ(sim::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(sim::jsonEscape(std::string(1, '\x01')), "\\u0001");
+    JsonWriter w;
+    w.array(JsonWriter::Inline)
+        .value("a\"b\\c\nd")
+        .value(std::string(1, '\x01'))
+        .end();
+    EXPECT_EQ(w.str(), "[\"a\\\"b\\\\c\\nd\", \"\\u0001\"]");
 }
 
 TEST(WorkloadCache, SharesOneProgramPerName)

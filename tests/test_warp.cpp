@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "guard/errors.hpp"
 #include "program/workload.hpp"
 #include "sim/presets.hpp"
@@ -584,7 +585,10 @@ TEST(Warp, EstimateTracksTheFullDetailedRun)
 TEST(Warp, StatsGroupsJsonCarriesTheWarpGroup)
 {
     const warp::WarpEstimate est = runSmallWarp(1);
-    const std::string groups = warp::statsGroupsJson(est);
+    JsonWriter w;
+    w.object();
+    warp::writeStatsGroups(w, est);
+    const std::string groups = w.end().str();
     EXPECT_EQ(groups.front(), '{');
     EXPECT_NE(groups.find("\"warp\""), std::string::npos);
     EXPECT_NE(groups.find("\"ff_insts\""), std::string::npos);

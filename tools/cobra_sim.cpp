@@ -591,8 +591,9 @@ runMain(int argc, char** argv)
                 o.host.simInsts = est.detailedInsts;
                 if (!out.statsJsonPath.empty()) {
                     o.statsJson = sim::renderPointStats(
-                        pt.label, est.estimate,
-                        warp::statsGroupsJson(est));
+                        pt.label, est.estimate, [&est](JsonWriter& w) {
+                            warp::writeStatsGroups(w, est);
+                        });
                 }
                 printWarpEstimate(est, sfb, faultRate, audit);
             } catch (const std::exception& e) {
@@ -610,11 +611,12 @@ runMain(int argc, char** argv)
         const bool interrupted =
             g_interrupted.load(std::memory_order_relaxed);
         if (!out.resultsJsonPath.empty()) {
-            std::string extra = "\"mode\": \"warp\"";
-            if (interrupted)
-                extra += ",\n  \"interrupted\": true";
             sim::writeSweepJson(out.resultsJsonPath, "cobra_sim",
-                                outcomes, effJobs, extra);
+                                outcomes, effJobs, [&](JsonWriter& w) {
+                                    w.field("mode", "warp");
+                                    if (interrupted)
+                                        w.field("interrupted", true);
+                                });
         }
         if (!out.statsJsonPath.empty())
             sim::writeStatsJson(out.statsJsonPath, "cobra_sim",
@@ -719,8 +721,10 @@ runMain(int argc, char** argv)
         g_interrupted.load(std::memory_order_relaxed);
     if (!out.resultsJsonPath.empty())
         sim::writeSweepJson(out.resultsJsonPath, "cobra_sim", outcomes,
-                            engine.jobs(),
-                            interrupted ? "\"interrupted\": true" : "");
+                            engine.jobs(), [&](JsonWriter& w) {
+                                if (interrupted)
+                                    w.field("interrupted", true);
+                            });
     if (!out.statsJsonPath.empty())
         sim::writeStatsJson(out.statsJsonPath, "cobra_sim", outcomes,
                             engine.jobs());
