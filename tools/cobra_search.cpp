@@ -12,12 +12,12 @@
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "program/workload.hpp"
 #include "search/driver.hpp"
 
@@ -216,14 +216,12 @@ main(int argc, char** argv)
                         c.latency, c.detail.ipc, c.detail.mpki);
         }
 
-        const std::string doc = search::frontierJson(r);
+        JsonWriter doc;
+        search::writeFrontier(doc, r);
         if (outPath.empty()) {
-            std::cout << doc;
+            std::cout << doc.str() << '\n';
         } else {
-            std::ofstream out(outPath);
-            if (!out)
-                throw std::runtime_error("cannot write " + outPath);
-            out << doc;
+            writeJsonFile(outPath, doc);
             std::printf("frontier artifact: %s\n", outPath.c_str());
         }
         return 0;
