@@ -152,6 +152,18 @@ class BranchPredictorUnit
     /** Advance the update/repair state machine by one cycle (§IV-B2). */
     void tick();
 
+    /**
+     * True when tick() would change nothing: no repair walk is queued
+     * and the history file's head has not committed. Until another
+     * unit acts, later ticks change nothing either.
+     */
+    bool
+    idle() const
+    {
+        return repairQueue_.empty() &&
+               (hf_.empty() || !hf_.at(hf_.headPos()).committed);
+    }
+
     /** True while the repair walk occupies the machine. */
     bool walkBusy() const { return !repairQueue_.empty(); }
 

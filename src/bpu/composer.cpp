@@ -245,10 +245,14 @@ ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
         // order), so `bundle` is the correct predict_in of that cycle.
         // Arbiter children may be first evaluated at the arbiter's
         // stage; they start from a fresh bundle, so the result is the
-        // same as at their own latency.
+        // same as at their own latency. The component computes
+        // straight into its cached result: `bundle` stays untouched
+        // until the replay below, so it is the predict_in that the
+        // provided masks are diffed against.
         const PredictContext ctx = makeContext(q, d);
-        PredictionBundle in = bundle;
-        PredictionBundle out = bundle;
+        const PredictionBundle& in = bundle;
+        PredictionBundle& out = res.out;
+        out = in;
         if (arb_children != nullptr) {
             SmallVector<PredictionBundle, 4> inputs;
             for (std::size_t childIdx : *arb_children) {
@@ -269,7 +273,6 @@ ComposedPredictor::applyComponent(QueryState& q, std::size_t idx,
             else
                 comp->predict(ctx, out, q.metas_[ci]);
         }
-        res.out = out;
         for (unsigned i = 0; i < width_; ++i)
             res.provided[i] = diffSlots(in.slots[i], out.slots[i]);
         res.computed = true;

@@ -12,7 +12,6 @@
 #ifndef COBRA_COMMON_SMALL_VECTOR_HPP
 #define COBRA_COMMON_SMALL_VECTOR_HPP
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
@@ -23,11 +22,13 @@ namespace cobra {
 
 /**
  * Fixed-inline-capacity vector. Elements are stored in an inline
- * array while size() <= N and in a heap buffer beyond that; the
+ * buffer while size() <= N and in a heap buffer beyond that; the
  * transition copies, so T must be trivially copyable (all hot-path
- * payloads are). The heap buffer is plain storage rather than a
- * std::vector so that SmallVector<bool, N> keeps real bools with
- * addressable data().
+ * payloads are). The inline buffer is uninitialised storage: only the
+ * first size() elements are live, so construction is free and copy
+ * and move touch size() elements, not N. The heap buffer is plain
+ * storage rather than a std::vector so that SmallVector<bool, N>
+ * keeps real bools with addressable data().
  */
 template <typename T, std::size_t N>
 class SmallVector
@@ -37,7 +38,8 @@ class SmallVector
     static_assert(N >= 1);
 
   public:
-    SmallVector() = default;
+    // User-provided so value-initialisation does not zero the buffer.
+    SmallVector() noexcept {}
 
     explicit SmallVector(std::size_t n, const T& value = T())
     {
@@ -51,31 +53,20 @@ class SmallVector
     {
         if (this == &o)
             return *this;
+        size_ = 0; // Nothing to keep: skip reserveFor's re-spill copy.
         reserveFor(o.size_);
         size_ = o.size_;
         std::memcpy(data(), o.data(), size_ * sizeof(T));
         return *this;
     }
 
-    SmallVector(SmallVector&& o) noexcept
-        : size_(o.size_), inline_(o.inline_), heap_(std::move(o.heap_)),
-          heapCap_(o.heapCap_)
-    {
-        o.size_ = 0;
-        o.heapCap_ = 0;
-    }
+    SmallVector(SmallVector&& o) noexcept { take(o); }
 
     SmallVector&
     operator=(SmallVector&& o) noexcept
     {
-        if (this == &o)
-            return *this;
-        size_ = o.size_;
-        inline_ = o.inline_;
-        heap_ = std::move(o.heap_);
-        heapCap_ = o.heapCap_;
-        o.size_ = 0;
-        o.heapCap_ = 0;
+        if (this != &o)
+            take(o);
         return *this;
     }
 
@@ -83,11 +74,10 @@ class SmallVector
     void
     assign(std::size_t n, const T& value = T())
     {
+        size_ = 0;
         reserveFor(n);
         size_ = n;
-        T* d = data();
-        for (std::size_t i = 0; i < n; ++i)
-            d[i] = value;
+        std::uninitialized_fill_n(data(), n, value);
     }
 
     void
@@ -96,27 +86,27 @@ class SmallVector
         reserveFor(size_ + 1);
         // Pick storage for the NEW size: the write that crosses the
         // inline->heap boundary must land in the heap buffer.
-        T* d = size_ + 1 <= N ? inline_.data() : heap_.get();
-        d[size_++] = value;
+        T* d = size_ + 1 <= N ? inlineData() : heap_.get();
+        ::new (static_cast<void*>(d + size_)) T(value);
+        ++size_;
     }
 
     void clear() { size_ = 0; }
 
+    /** Shrink, or grow with value-initialised elements. */
     void
     resize(std::size_t n)
     {
         if (n <= size_) {
             if (size_ > N && n <= N)
-                std::memcpy(inline_.data(), heap_.get(), n * sizeof(T));
+                std::memcpy(inlineData(), heap_.get(), n * sizeof(T));
             size_ = n;
             return;
         }
         const std::size_t old = size_;
         reserveFor(n);
         size_ = n; // data() must resolve against the grown size.
-        T* d = data();
-        for (std::size_t i = old; i < n; ++i)
-            d[i] = T();
+        std::uninitialized_value_construct_n(data() + old, n - old);
     }
 
     std::size_t size() const { return size_; }
@@ -139,10 +129,10 @@ class SmallVector
         return data()[i];
     }
 
-    T* data() { return size_ <= N ? inline_.data() : heap_.get(); }
+    T* data() { return size_ <= N ? inlineData() : heap_.get(); }
     const T* data() const
     {
-        return size_ <= N ? inline_.data() : heap_.get();
+        return size_ <= N ? inlineData() : heap_.get();
     }
 
     T* begin() { return data(); }
@@ -172,27 +162,46 @@ class SmallVector
     bool operator!=(const SmallVector& o) const { return !(*this == o); }
 
   private:
+    T* inlineData() { return reinterpret_cast<T*>(inline_); }
+    const T* inlineData() const
+    {
+        return reinterpret_cast<const T*>(inline_);
+    }
+
+    /** Move @p o's contents here (its heap buffer travels along),
+     *  leaving @p o empty. */
+    void
+    take(SmallVector& o) noexcept
+    {
+        size_ = o.size_;
+        if (size_ <= N)
+            std::memcpy(inlineData(), o.inlineData(), size_ * sizeof(T));
+        heap_ = std::move(o.heap_);
+        heapCap_ = o.heapCap_;
+        o.size_ = 0;
+        o.heapCap_ = 0;
+    }
+
     /** Ensure storage for @p n elements, keeping current contents. */
     void
     reserveFor(std::size_t n)
     {
         if (n <= N || n <= heapCap_) {
             if (n > N && size_ <= N) // Re-spill into retained buffer.
-                std::memcpy(heap_.get(), inline_.data(),
-                            size_ * sizeof(T));
+                std::memcpy(heap_.get(), inlineData(), size_ * sizeof(T));
             return;
         }
         std::size_t cap = heapCap_ ? heapCap_ : 2 * N;
         while (cap < n)
             cap *= 2;
-        auto grown = std::make_unique<T[]>(cap);
+        auto grown = std::make_unique_for_overwrite<T[]>(cap);
         std::memcpy(grown.get(), data(), size_ * sizeof(T));
         heap_ = std::move(grown);
         heapCap_ = cap;
     }
 
     std::size_t size_ = 0;
-    std::array<T, N> inline_{};
+    alignas(T) unsigned char inline_[N * sizeof(T)];
     std::unique_ptr<T[]> heap_;
     std::size_t heapCap_ = 0;
 };

@@ -93,20 +93,25 @@ Frontend::killYoungerThan(std::size_t idx)
     releaseRange(idx + 1, pipe_.size());
 }
 
-bool
-Frontend::tryFinalize(Packet& p, Cycle now)
+Stat<Counter> Frontend::*
+Frontend::finalizeStall() const
 {
-    (void)now;
-    if (!bpu_.canFinalize()) {
-        ++stallHistfile_;
-        return false;
-    }
-    if (buffer_.size() + cfg_.fetchWidth > cfg_.fetchBufferInsts) {
-        ++stallFetchbuffer_;
+    if (!bpu_.canFinalize())
+        return &Frontend::stallHistfile_;
+    if (buffer_.size() + cfg_.fetchWidth > cfg_.fetchBufferInsts)
+        return &Frontend::stallFetchbuffer_;
+    return nullptr;
+}
+
+bool
+Frontend::tryFinalize(Packet& p)
+{
+    if (const auto stall = finalizeStall()) {
+        ++(this->*stall);
         return false;
     }
 
-    const bpu::PredictionBundle bundle = bpu_.stage(p.query, finalStage_);
+    const bpu::PredictionBundle& bundle = p.finalPred;
     const std::uint32_t rasPtrSnap = ras_.pointer();
 
     // ---- Pre-decode walk (the F3 checker of Fig. 6) -------------------
@@ -316,65 +321,56 @@ Frontend::tick(Cycle now)
             break;
         }
 
-        if (p.stage >= finalStage_) {
-            // Stalled at the final stage from a previous cycle.
-            if (tryFinalize(p, now)) {
-                const bool steer = finalizeSteer_;
-                releaseRange(i, i + 1);
-                if (steer) {
-                    // Kill everything younger (refetch from nextPc).
-                    packetsKilled_ += pipe_.size() - i;
-                    releaseRange(i, pipe_.size());
-                }
-                --i;
+        if (p.stage < finalStage_) {
+            ++p.stage;
+            const bpu::PredictionBundle b = bpu_.stage(p.query, p.stage);
+            if (p.stage == finalStage_)
+                p.finalPred = b;
+
+            if (p.stage == 1) {
+                // End of Fetch-1: capture histories before this
+                // packet's own speculative push (paper §III-B). A
+                // stage-1 final packet finalizes next cycle.
+                bpu_.captureHistory(p.query);
+                pushGhistBits(p, b);
+                p.predNextPc = earlyNextPc(p, b);
+                if (i + 1 == pipe_.size())
+                    nextFetchPc_ = p.predNextPc;
                 continue;
             }
+
+            if (p.stage < finalStage_) {
+                // Intermediate stage: possible re-steer (composer
+                // redirection logic, §IV-B).
+                const Addr newNext = earlyNextPc(p, b);
+                if (newNext != p.predNextPc) {
+                    killYoungerThan(i);
+                    p.predNextPc = newNext;
+                    nextFetchPc_ = newNext;
+                    // Re-push this packet's history bits against the
+                    // updated bundle (the stage-d prediction
+                    // supersedes stage-1's).
+                    bpu_.restoreSpecGhist(p.query.ghist());
+                    pushGhistBits(p, b);
+                    ++resteers_;
+                }
+                continue;
+            }
+        }
+
+        // At the final stage: arrived this cycle, or stalled there.
+        if (!tryFinalize(p)) {
             blocked = true;
             break;
         }
-
-        ++p.stage;
-        const bpu::PredictionBundle b = bpu_.stage(p.query, p.stage);
-
-        if (p.stage == 1) {
-            // End of Fetch-1: capture histories before this packet's
-            // own speculative push (paper §III-B).
-            bpu_.captureHistory(p.query);
-            pushGhistBits(p, b);
-            p.predNextPc = earlyNextPc(p, b);
-            if (i + 1 == pipe_.size())
-                nextFetchPc_ = p.predNextPc;
-            continue;
+        const bool steer = finalizeSteer_;
+        releaseRange(i, i + 1);
+        if (steer) {
+            // Kill everything younger (refetch from nextPc).
+            packetsKilled_ += pipe_.size() - i;
+            releaseRange(i, pipe_.size());
         }
-
-        if (p.stage == finalStage_) {
-            if (tryFinalize(p, now)) {
-                const bool steer = finalizeSteer_;
-                releaseRange(i, i + 1);
-                if (steer) {
-                    packetsKilled_ += pipe_.size() - i;
-                    releaseRange(i, pipe_.size());
-                }
-                --i;
-                continue;
-            }
-            blocked = true;
-            break;
-        }
-
-        // Intermediate stage: possible re-steer (composer redirection
-        // logic, §IV-B).
-        const Addr newNext = earlyNextPc(p, b);
-        if (newNext != p.predNextPc) {
-            killYoungerThan(i);
-            p.predNextPc = newNext;
-            nextFetchPc_ = newNext;
-            // Re-push this packet's history bits against the updated
-            // bundle (the stage-d prediction supersedes stage-1's).
-            bpu_.restoreSpecGhist(p.query.ghist());
-            pushGhistBits(p, b);
-            ++resteers_;
-        }
+        --i;
     }
 
     // ---- F0: select a PC and open a new query -------------------------
@@ -396,6 +392,28 @@ Frontend::tick(Cycle now)
     } else {
         ++fetchBubbles_;
     }
+}
+
+Cycle
+Frontend::idleUntil(Cycle now) const
+{
+    if (pipe_.empty())
+        return now; // F0 opens a packet.
+    const Packet& p = *pipe_.front();
+    if (now < p.stallUntil)
+        return p.stallUntil; // An icache miss blocks the whole pipe.
+    if (p.stage >= finalStage_ && finalizeStall() != nullptr)
+        return kNeverCycle; // Until the backend or BPU frees room.
+    return now;
+}
+
+void
+Frontend::skipTo(Cycle now, Cycle wake)
+{
+    const Cycle n = wake - now;
+    fetchBubbles_ += n; // F0 is blocked behind the oldest packet.
+    if (now >= pipe_.front()->stallUntil)
+        this->*finalizeStall() += n;
 }
 
 void
@@ -530,6 +548,11 @@ Frontend::restoreState(warp::StateReader& r)
         p->stage = r.u32();
         p->stallUntil = r.u64();
         p->query.restoreState(r);
+        // The final fold is not checkpointed: refolding a packet that
+        // reached the final stage replays its cached component
+        // results, so it yields the same bundle.
+        if (p->stage >= finalStage_)
+            p->finalPred = bpu_.stage(p->query, finalStage_);
         p->predNextPc = r.u64();
         p->pushedBits.clear();
         const std::uint32_t nBits = r.u32();

@@ -70,6 +70,21 @@ class Frontend
     /** Advance one cycle. */
     void tick(Cycle now);
 
+    /**
+     * Quiescence probe for the simulator's cycle skip: @p now when a
+     * tick at @p now could change state beyond the stall counters;
+     * otherwise the first cycle at which this unit alone could act
+     * again (kNeverCycle when only the backend or BPU can unblock it).
+     */
+    Cycle idleUntil(Cycle now) const;
+
+    /**
+     * Account for the quiescent cycles [@p now, @p wake) that
+     * idleUntil(@p now) reported: bump exactly the stall counters
+     * ticking them one by one would have.
+     */
+    void skipTo(Cycle now, Cycle wake);
+
     // ---- Backend-facing fetch buffer ----------------------------------
 
     bool bufferEmpty() const { return buffer_.empty(); }
@@ -157,6 +172,10 @@ class Frontend
         unsigned stage = 0;       ///< Last completed stage.
         Cycle stallUntil = 0;     ///< ICache miss modelling.
         bpu::QueryState query;
+        /** The final-stage fold, taken once when the packet reaches
+         *  the final stage and reused while it stalls there (valid
+         *  while stage >= finalStage_). */
+        bpu::PredictionBundle finalPred;
         Addr predNextPc = kInvalidAddr;
         /** Spec-ghist bits this packet pushed at F1 (re-pushed on
          *  re-steer). */
@@ -188,8 +207,15 @@ class Frontend
     /** Push this packet's predicted outcome bits into spec ghist. */
     void pushGhistBits(Packet& p, const bpu::PredictionBundle& b);
 
+    /**
+     * The stall counter a finalize attempt would bump right now, or
+     * nullptr when it can proceed. The one stall classification for
+     * tryFinalize and the quiescent-cycle skip.
+     */
+    Stat<Counter> Frontend::*finalizeStall() const;
+
     /** Finalize a packet at the last stage; false if stalled. */
-    bool tryFinalize(Packet& p, Cycle now);
+    bool tryFinalize(Packet& p);
 
     /** Kill packets younger than index @p idx (exclusive). */
     void killYoungerThan(std::size_t idx);

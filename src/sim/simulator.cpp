@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+
 #include "bpu/specialize.hpp"
 #include "sim/design_spec.hpp"
 #include "warp/state_io.hpp"
@@ -241,6 +243,37 @@ Simulator::stalled()
     return now_ - lastProgressCycle_ > cfg_.deadlockCycles;
 }
 
+void
+Simulator::skipQuiescent(Cycle limit)
+{
+    // The tick of cycle lastProgressCycle_ + deadlockCycles trips the
+    // watchdog, and the loop's own last cycle is limit - 1: both are
+    // always ticked.
+    const Cycle sinceProgress = now_ - lastProgressCycle_;
+    if (sinceProgress >= cfg_.deadlockCycles || now_ + 1 >= limit ||
+        !bpu_->idle())
+        return;
+    Cycle wake = now_ + std::min(limit - 1 - now_,
+                                 cfg_.deadlockCycles - sinceProgress);
+    wake = std::min(wake, frontend_->idleUntil(now_));
+    if (wake <= now_)
+        return;
+    wake = std::min(wake, backend_->idleUntil(now_));
+    if (wake <= now_)
+        return;
+    frontend_->skipTo(now_, wake);
+    backend_->skipTo(now_, wake);
+    now_ = wake;
+}
+
+bool
+Simulator::step(Cycle limit)
+{
+    skipQuiescent(limit);
+    tickOnce();
+    return stalled();
+}
+
 SimResult
 Simulator::measuredResult(bool deadlocked)
 {
@@ -273,8 +306,7 @@ Simulator::run()
     while (!baseCaptured_ &&
            backend_->committedInsts() < cfg_.warmupInsts &&
            now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
+        if (step(cfg_.maxCycles)) {
             // Deadlocked before the measured region: report with zero
             // metrics rather than spinning to maxCycles.
             finishResult(r, true, now_ - lastProgressCycle_);
@@ -290,8 +322,7 @@ Simulator::run()
     bool deadlocked = false;
     const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
     while (backend_->committedInsts() < target && now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
+        if (step(cfg_.maxCycles)) {
             deadlocked = true; // No commit progress: abort the run.
             break;
         }
@@ -311,8 +342,7 @@ Simulator::advanceTo(Cycle stop_cycle)
     while (!baseCaptured_ &&
            backend_->committedInsts() < cfg_.warmupInsts &&
            now_ < cfg_.maxCycles && now_ < stop_cycle) {
-        tickOnce();
-        if (stalled())
+        if (step(std::min(cfg_.maxCycles, stop_cycle)))
             return false;
     }
     // Capture the measurement base exactly when run() would: at the
@@ -329,8 +359,7 @@ Simulator::advanceTo(Cycle stop_cycle)
     const std::uint64_t target = cfg_.warmupInsts + cfg_.maxInsts;
     while (backend_->committedInsts() < target &&
            now_ < cfg_.maxCycles && now_ < stop_cycle) {
-        tickOnce();
-        if (stalled())
+        if (step(std::min(cfg_.maxCycles, stop_cycle)))
             return false;
     }
     return backend_->committedInsts() < target && now_ < cfg_.maxCycles;
@@ -368,8 +397,7 @@ Simulator::runInterval(std::uint64_t warmup_cycles,
     // ---- Detailed warmup (cycle-denominated, discarded) -----------------
     const Cycle warmupEnd = now_ + warmup_cycles;
     while (now_ < warmupEnd && now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
+        if (step(std::min(warmupEnd, cfg_.maxCycles))) {
             finishResult(r, true, now_ - lastProgressCycle_);
             return r;
         }
@@ -381,8 +409,7 @@ Simulator::runInterval(std::uint64_t warmup_cycles,
     bool deadlocked = false;
     const std::uint64_t target = base_.insts + measure_insts;
     while (backend_->committedInsts() < target && now_ < cfg_.maxCycles) {
-        tickOnce();
-        if (stalled()) {
+        if (step(cfg_.maxCycles)) {
             deadlocked = true;
             break;
         }

@@ -387,6 +387,22 @@ class Simulator
     /** Deadlock watchdog step over the progress members. */
     bool stalled();
 
+    /**
+     * One step of a run loop that ticks while now_ < @p limit: skip
+     * the quiescent cycles ahead (skipQuiescent), tick one cycle,
+     * then run the watchdog. Returns true when the watchdog fired.
+     */
+    bool step(Cycle limit);
+
+    /**
+     * Jump now_ over cycles in which every unit would change nothing
+     * but stall counters, crediting those counters in bulk. Stops at
+     * the earliest unit wake-up, at the last cycle before @p limit,
+     * and at the cycle whose tick the watchdog would flag, so the
+     * state after the next tick equals ticking every cycle.
+     */
+    void skipQuiescent(Cycle limit);
+
     /** Deltas vs base_ plus the absolute event counters. */
     SimResult measuredResult(bool deadlocked);
 

@@ -28,6 +28,14 @@ submit() { # submit <spool> <name> <json-text>
     mv "$1/incoming/$2.tmp" "$1/incoming/$2"
 }
 
+wait_for_point() { # wait_for_point <spool>: a point is journaled
+    for _ in $(seq 1 1000); do
+        grep -qs '"ev": "point"' "$1/journal.log" && return 0
+        sleep 0.02
+    done
+    return 1
+}
+
 # ---------------------------------------------------------------------
 say "leg 1: mixed spool, --once drain"
 S1="$WORK/spool1"
@@ -85,17 +93,21 @@ EOF
 say "leg 2: SIGTERM graceful drain"
 S2="$WORK/spool2"
 mkdir -p "$S2/incoming"
-# Enough queued work that the drain provably interrupts some of it.
+# Requests run one at a time, 12 points each on 2 workers. SIGTERM
+# goes out once the first point is journaled: the running request
+# still has points that have not started, so the drain interrupts it
+# however fast the host is.
 for i in 1 2 3 4; do
     submit "$S2" "drain$i.json" '{
       "id": "drain'"$i"'", "client": "ci",
-      "designs": ["tagel", "b2", "tourney"], "workloads": ["leela"],
+      "designs": ["tagel", "b2", "tourney", "refbig"],
+      "workloads": ["leela", "x264", "gcc"],
       "insts": 200000, "warmup": 5000}'
 done
 
 "$SERVE" --spool "$S2" --jobs 2 --poll-ms 50 &
 PID=$!
-sleep 2
+wait_for_point "$S2" || die "no point completed before the drain"
 kill -TERM "$PID"
 if ! wait "$PID"; then die "daemon exited non-zero on SIGTERM"; fi
 
@@ -104,6 +116,7 @@ python3 - "$S2" <<'EOF'
 import json, sys
 status = json.load(open(f"{sys.argv[1]}/status.json"))
 assert status["state"] == "stopped", status["state"]
+assert status["parked"] >= 1, f"drain interrupted nothing: {status}"
 print(f"leg 2 OK: clean drain, retired={status['retired']}, "
       f"parked={status['parked']}")
 EOF
@@ -123,16 +136,7 @@ submit "$S3" recover.json '{
 
 "$SERVE" --spool "$S3" --jobs 1 --poll-ms 50 &
 PID=$!
-# Wait until the journal shows at least one completed point.
-for _ in $(seq 1 200); do
-    if [ -f "$S3/journal.log" ] \
-        && grep -q '"ev": "point"' "$S3/journal.log"; then
-        break
-    fi
-    sleep 0.1
-done
-grep -q '"ev": "point"' "$S3/journal.log" \
-    || die "no point completed before the hard kill"
+wait_for_point "$S3" || die "no point completed before the hard kill"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
